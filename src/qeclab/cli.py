@@ -24,9 +24,13 @@ byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import json
 import math
 import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -40,12 +44,17 @@ from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     encode, load_code, run_checker)
 from .decoder import PATTERN_FILTERS, build_syndrome_table, correct
 from .rng import trial_generator
-from .statespace import DIM_CAP, PureState
+from .statespace import DIM_CAP, TOL_NORM, PureState
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
 SUCCESS_FIDELITY = 1.0 - 1e-8
 
 CSV_HEADER = "trial,activated,syndrome,fidelity,disentangled,corrected"
+
+#: --max-active runs are refused when the cap holds with less than this
+#: probability: each trial redraws its activations until the cap holds, so
+#: it would take about 1/probability draws.
+MIN_ACCEPTANCE = 1e-6
 
 
 class BadInput(ValueError):
@@ -157,10 +166,17 @@ class _ExperimentContext:
                 "worst-case joint dimension 2^%d * %d^%d = %d exceeds the "
                 "cap %d; restrict --qubits or set --max-active"
                 % (self.code.n, env_dim, worst_active, joint_dim, DIM_CAP))
-        if (config.max_active is not None and config.p >= 1.0
-                and config.max_active < len(self.eligible)):
-            raise BadInput("p = 1 makes the max-active condition "
-                           "unsatisfiable")
+        if config.max_active is not None:
+            acceptance = _at_most(len(self.eligible), config.p,
+                                  config.max_active)
+            if acceptance < MIN_ACCEPTANCE:
+                raise BadInput(
+                    "at p = %g, at most %d of %d eligible qubits activate "
+                    "with probability %.3g, below the floor %g that "
+                    "sampling under --max-active needs; raise --max-active "
+                    "or lower --p" % (config.p, config.max_active,
+                                      len(self.eligible), acceptance,
+                                      MIN_ACCEPTANCE))
         if config.logical != "random":
             if len(config.logical) != (1 << self.code.l):
                 raise BadInput("logical state needs %d amplitudes"
@@ -204,7 +220,7 @@ class _ExperimentContext:
         report = correct(state, self.code, self.t, cfg.strategy, rng,
                          reference, pattern_filter=cfg.pattern_filter,
                          table=self.table)
-        if not -1e-9 <= report.fidelity <= 1.0 + 1e-9:
+        if not -TOL_NORM <= report.fidelity <= 1.0 + TOL_NORM:
             raise AssertionError("fidelity %r out of range" % report.fidelity)
         return {
             "trial": trial,
@@ -221,17 +237,62 @@ def _run_chunk(config_dict, start, stop):
     return [ctx.run_trial(i) for i in range(start, stop)]
 
 
+def _at_most(k, p, m):
+    """Probability that at most m of k qubits activate, each independently
+    with probability p."""
+    return math.fsum(math.comb(k, i) * p ** i * (1.0 - p) ** (k - i)
+                     for i in range(min(m, k) + 1))
+
+
 def analytic_success_bound(k, t, p, max_active=None):
     """Guaranteed exact-success probability: at most t of the k eligible
     qubits activate. With an activation cap the probability is conditional
     on the cap."""
-    terms = [math.comb(k, i) * p ** i * (1.0 - p) ** (k - i)
-             for i in range(k + 1)]
     if max_active is None:
-        return math.fsum(terms[:min(t, k) + 1])
-    denom = math.fsum(terms[:min(max_active, k) + 1])
-    num = math.fsum(terms[:min(t, max_active, k) + 1])
+        return _at_most(k, p, t)
+    denom = _at_most(k, p, max_active)
+    num = _at_most(k, p, min(t, max_active))
     return num / denom if denom > 0.0 else 1.0
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
+    or None when that library or its controls cannot be found."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, restoring the old count
+    on exit; a no-op without it.
+
+    Processes forked meanwhile inherit the setting, so each pool worker runs
+    its BLAS calls on its own core instead of every worker threading them
+    over all cores at once.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def run_experiment(config, workers=1):
@@ -249,7 +310,8 @@ def run_experiment(config, workers=1):
         edges = np.linspace(0, config.trials, workers + 1).astype(int)
         jobs = [(config.as_dict(), int(a), int(b))
                 for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with _one_blas_thread(), \
+                multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.starmap(_run_chunk, jobs)
         records = [rec for chunk in chunks for rec in chunk]
     successes = sum(1 for r in records

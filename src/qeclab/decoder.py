@@ -11,6 +11,13 @@ these subspaces; the subspace that answers identifies the pattern, and
 applying P_b A_a (its own inverse up to a global sign) restores the encoded
 state while disentangling the block from every environment factor.
 
+Decoding works in syndrome coordinates. Stacking the conjugated basis rows
+of every subspace into one matrix B, a single product coeff = B M (M the
+system-by-environment matrix of the state) holds the state's coordinates in
+all subspaces at once. By orthonormality, subspace i answers with
+probability p_i = ||coeff_i||^2, the complement keeps the remaining mass,
+and a walk's binary measurements are decided from p alone.
+
 Two measurement strategies are provided, with identical outcome statistics:
 
 * exhaustive -- walk the subspaces in canonical order, one binary
@@ -20,11 +27,15 @@ Two measurement strategies are provided, with identical outcome statistics:
   success path. Once the walk has established that the state lies inside a
   block, narrowing to a single subspace needs no further measurement.
 
-If every outcome is 0 the state collapses to the orthogonal complement of
-all table subspaces and no correction is attempted.
+Each binary measurement consumes one uniform deviate and fires with the
+mass of its union divided by the mass not yet ruled out. If every outcome
+is 0 the state collapses to the orthogonal complement of all table
+subspaces and no correction is attempted.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,7 +44,7 @@ from .errors import (ErrorPattern, apply_amplitude, apply_phase,
                      enumerate_bitstrings_by_weight, enumerate_patterns)
 from .codes import (ConditionError, check_amplitude_condition,
                     check_general_condition, check_phase_condition)
-from .statespace import (TOL_ZERO, PureState, fidelity_against,
+from .statespace import (TOL_NORM, TOL_ZERO, PureState, fidelity_against,
                          schmidt_diagnostics, state_to_dict)
 
 PATTERN_FILTERS = ("all", "phase-only", "amplitude-only")
@@ -48,40 +59,42 @@ class SyndromeTable:
 
     patterns[i] names the i-th subspace; matrices[i] holds its orthonormal
     basis {A_a P_b |C^k>} as rows (2^l x 2^n). Bases are pairwise orthonormal
-    across the whole table. Immutable and shareable across decode runs.
+    across the whole table. rows stacks every basis, matrices[i] being the
+    view rows[offsets[i]:offsets[i + 1]], and conj_rows is its conjugate, so
+    conj_rows @ M gives a state's coordinates in every subspace at once.
+    Immutable and shareable across decode runs.
     """
 
     __slots__ = ("code", "t", "pattern_filter", "patterns", "matrices",
-                 "labels", "is_complete", "_unions")
+                 "labels", "is_complete", "rows", "conj_rows", "offsets")
 
     def __init__(self, code, t, pattern_filter, patterns, matrices):
+        rows = np.vstack(matrices)
+        conj_rows = np.ascontiguousarray(rows.conj())
+        rows.setflags(write=False)
+        conj_rows.setflags(write=False)
+        offsets = np.cumsum([0] + [m.shape[0] for m in matrices])
+        offsets.setflags(write=False)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "t", int(t))
         object.__setattr__(self, "pattern_filter", pattern_filter)
         object.__setattr__(self, "patterns", tuple(patterns))
-        object.__setattr__(self, "matrices", tuple(matrices))
+        object.__setattr__(self, "matrices", tuple(
+            rows[a:b] for a, b in zip(offsets[:-1], offsets[1:])))
         object.__setattr__(self, "labels",
                            tuple("H[%s]" % p.text() for p in patterns))
         # a table whose bases fill the whole block space leaves no room for
         # a "none" outcome: membership in the union is guaranteed upfront
-        total = sum(m.shape[0] for m in matrices)
-        object.__setattr__(self, "is_complete", total == (1 << code.n))
-        object.__setattr__(self, "_unions", {})
+        object.__setattr__(self, "is_complete", len(rows) == (1 << code.n))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "conj_rows", conj_rows)
+        object.__setattr__(self, "offsets", offsets)
 
     def __setattr__(self, name, value):
         raise AttributeError("SyndromeTable is immutable")
 
     def __len__(self):
         return len(self.patterns)
-
-    def union_matrix(self, lo, hi):
-        """Stacked basis rows of subspaces lo..hi-1 (memoized)."""
-        key = (lo, hi)
-        got = self._unions.get(key)
-        if got is None:
-            got = np.vstack(self.matrices[lo:hi])
-            self._unions[key] = got
-        return got
 
 
 _FILTER_CHECKERS = {
@@ -129,10 +142,10 @@ def build_syndrome_table(code, t, pattern_filter="all"):
             rows = rows * signs
         if a:
             rows = rows[:, np.arange(1 << code.n) ^ a]
-        matrices.append(np.ascontiguousarray(rows))
+        matrices.append(rows)
     table = SyndromeTable(code, t, pattern_filter, patterns, matrices)
-    B = table.union_matrix(0, len(table))
-    dev = np.max(np.abs(B.conj() @ B.T - np.eye(len(B))))
+    dev = np.max(np.abs(table.conj_rows @ table.rows.T
+                        - np.eye(len(table.rows))))
     if dev > TABLE_TOL:  # pragma: no cover - excluded by the checker above
         raise AssertionError("syndrome table Gram deviates by %.3e" % dev)
     return table
@@ -140,42 +153,90 @@ def build_syndrome_table(code, t, pattern_filter="all"):
 
 # -- projective measurement ----------------------------------------------------
 
-def _project_rows(state, W):
-    """Probability and collapse data for the projector with orthonormal rows
-    W (system-only), extended by identity over environment factors.
+def _coordinates(state, table):
+    """The state in syndrome coordinates: (M, coeff, p, p_none).
 
-    Returns (prob, component, residual, residual_mass): the renormalized
-    in-subspace state and the renormalized complement state, either being
-    None when its probability falls below the zero threshold.
+    M is the state's system-by-environment matrix and coeff = conj_rows @ M
+    stacks its 2^l x d_E coordinate blocks, one per subspace. p[i] is the
+    probability that subspace i answers and p_none the mass left in the
+    complement of them all (exactly 0 for a complete table).
     """
+    _check_compatible(state, table)
     M = state.matrix()
-    coeff = W.conj() @ M
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    shape = state.layout.shape
-    comp = None
-    if prob >= TOL_ZERO:
-        comp = PureState._trusted(
-            state.layout, (W.T @ coeff / np.sqrt(prob)).reshape(shape))
-    resid_mat = M - W.T @ coeff
-    rmass = float(np.sum(np.abs(resid_mat) ** 2))
-    resid = None
-    if rmass >= TOL_ZERO:
-        resid = PureState._trusted(
-            state.layout, (resid_mat / np.sqrt(rmass)).reshape(shape))
-    return prob, comp, resid, rmass
+    coeff = table.conj_rows @ M
+    parts = coeff.view(np.float64)  # real and imaginary parts interleaved
+    p = np.add.reduceat(np.einsum("ij,ij->i", parts, parts),
+                        table.offsets[:-1])
+    if table.is_complete:
+        p_none = 0.0
+    else:
+        p_none = max(float(np.vdot(M, M).real) - float(np.sum(p)), 0.0)
+    return M, coeff, p, p_none
 
 
-def _binary_measure(state, W, randomness):
-    """One ideal binary measurement: a single uniform deviate, thresholded
-    at the computed probability. Probabilities below the zero threshold
-    count as exact 0/1 (the corresponding branch has no collapsed state)."""
-    prob, comp, resid, _ = _project_rows(state, W)
-    outcome = bool(randomness.random() < prob)
-    if outcome and comp is None:
+def _collapse(state, table, M, coeff, p, i):
+    """The renormalized state after subspace i answered (None: after every
+    subspace was ruled out, leaving the complement)."""
+    if i is None:
+        vec = M - table.rows.T @ coeff
+        vec /= np.linalg.norm(vec)
+    else:
+        a, b = table.offsets[i], table.offsets[i + 1]
+        vec = table.matrices[i].T @ coeff[a:b] / math.sqrt(p[i])
+    return PureState._trusted(state.layout, vec.reshape(state.layout.shape))
+
+
+def _outcome(u, mass_in, mass_out):
+    """One ideal binary measurement between a union holding mass_in and the
+    rest of the mass not yet ruled out, mass_out: the single uniform deviate
+    u is thresholded at the conditional probability. A side whose conditional
+    probability falls below the zero threshold counts as exactly 0 (it has
+    no collapsed state), forcing the other outcome."""
+    rem = mass_in + mass_out
+    prob = mass_in / rem
+    outcome = u < prob
+    if outcome and prob < TOL_ZERO:
         outcome = False
-    if not outcome and resid is None:
+    if not outcome and mass_out < TOL_ZERO * rem:
         outcome = True
-    return outcome, (comp if outcome else resid), prob
+    return outcome
+
+
+def _walk(state, table, randomness, dyadic):
+    """Sample a measurement walk from the syndrome probabilities.
+
+    Each step splits the current block [lo, hi) at mid -- after its first
+    subspace, or for a dyadic walk after the largest power of two below its
+    size -- and measures the union [lo, mid). The mass not yet ruled out is
+    the block's, plus the complement's until an outcome 1 proves membership
+    in the block.
+    """
+    M, coeff, p, p_none = _coordinates(state, table)
+    p = p.tolist()
+    trace = []
+    lo, hi = 0, len(p)
+    # is membership in [lo, hi) already proven? Only the dyadic walk uses a
+    # complete table's upfront guarantee to skip its last measurement.
+    inside = dyadic and table.is_complete
+    while lo < hi:
+        size = hi - lo
+        if size == 1 and inside:
+            return (_collapse(state, table, M, coeff, p, lo),
+                    table.patterns[lo], trace)
+        half = 1
+        if dyadic and size > 1:
+            half = 1 << ((size - 1).bit_length() - 1)
+        mid = lo + half
+        outcome = _outcome(randomness.random(), sum(p[lo:mid]),
+                           sum(p[mid:hi]) + (0.0 if inside else p_none))
+        label = table.labels[lo] if half == 1 else "U[%d..%d]" % (lo, mid - 1)
+        trace.append((label, int(outcome)))
+        if outcome:
+            hi = mid
+            inside = True
+        else:
+            lo = mid
+    return _collapse(state, table, M, coeff, p, None), None, trace
 
 
 def measure_exhaustive(state, table, randomness):
@@ -185,16 +246,7 @@ def measure_exhaustive(state, table, randomness):
 
     Returns (collapsed_state, syndrome_pattern_or_None, outcome_trace).
     """
-    _check_compatible(state, table)
-    current = state
-    trace = []
-    for i, label in enumerate(table.labels):
-        outcome, current, _ = _binary_measure(current, table.matrices[i],
-                                              randomness)
-        trace.append((label, int(outcome)))
-        if outcome:
-            return current, table.patterns[i], trace
-    return current, None, trace
+    return _walk(state, table, randomness, dyadic=False)
 
 
 def measure_hierarchical(state, table, randomness):
@@ -211,33 +263,7 @@ def measure_hierarchical(state, table, randomness):
 
     Returns (collapsed_state, syndrome_pattern_or_None, outcome_trace).
     """
-    _check_compatible(state, table)
-    current = state
-    trace = []
-    lo, hi = 0, len(table)
-    inside = table.is_complete  # is membership in [lo, hi) already proven?
-    while True:
-        size = hi - lo
-        if size == 1 and inside:
-            return current, table.patterns[lo], trace
-        if size == 1:
-            outcome, current, _ = _binary_measure(
-                current, table.matrices[lo], randomness)
-            trace.append((table.labels[lo], int(outcome)))
-            if outcome:
-                return current, table.patterns[lo], trace
-            return current, None, trace
-        half = 1 << ((size - 1).bit_length() - 1)
-        mid = lo + half
-        W = table.union_matrix(lo, mid)
-        label = table.labels[lo] if half == 1 else "U[%d..%d]" % (lo, mid - 1)
-        outcome, current, _ = _binary_measure(current, W, randomness)
-        trace.append((label, int(outcome)))
-        if outcome:
-            hi = mid
-            inside = True
-        else:
-            lo = mid
+    return _walk(state, table, randomness, dyadic=True)
 
 
 def _check_compatible(state, table):
@@ -257,52 +283,16 @@ def syndrome_distribution(state, table, strategy="exhaustive"):
 
     Returns (labels, probs): labels are the canonical pattern texts plus a
     final "none" entry; probs[i] is the probability that the walk ends in
-    subspace i (or, for the last entry, in the complement). Computed by
-    propagating collapsed states through the strategy's actual measurement
-    tree, so it reflects the strategy's floating-point path; the two
-    strategies agree to well below 1e-12.
+    subspace i (or, for the last entry, in the complement). These are the
+    syndrome probabilities p_i = ||coeff_i||^2 and the complement's
+    remaining mass, which both strategies sample, so the two strategies
+    give the same distribution.
     """
-    _check_compatible(state, table)
     if strategy not in _MEASURERS:
         raise ValueError("unknown strategy %r" % strategy)
-    N = len(table)
-    probs = np.zeros(N + 1)
-    if strategy == "exhaustive":
-        current, cum = state, 1.0
-        for i in range(N):
-            prob, comp, resid, rmass = _project_rows(current,
-                                                     table.matrices[i])
-            probs[i] = cum * prob
-            if resid is None:
-                cum = 0.0
-                break
-            cum *= rmass
-            current = resid
-        probs[N] = cum
-    else:
-        def walk(current, lo, hi, inside, cum):
-            size = hi - lo
-            if size == 1 and inside:
-                probs[lo] += cum
-                return
-            if size == 1:
-                prob, comp, resid, rmass = _project_rows(
-                    current, table.matrices[lo])
-                probs[lo] += cum * prob
-                probs[N] += cum * rmass
-                return
-            half = 1 << ((size - 1).bit_length() - 1)
-            mid = lo + half
-            W = table.union_matrix(lo, mid)
-            prob, comp, resid, rmass = _project_rows(current, W)
-            if comp is not None:
-                walk(comp, lo, mid, True, cum * prob)
-            if resid is not None:
-                walk(resid, mid, hi, inside, cum * rmass)
-
-        walk(state, 0, N, table.is_complete, 1.0)
-    labels = [p.text() for p in table.patterns] + ["none"]
-    return labels, probs
+    _, _, p, p_none = _coordinates(state, table)
+    labels = [pat.text() for pat in table.patterns] + ["none"]
+    return labels, np.append(p, p_none)
 
 
 # -- recovery and the end-to-end decode ------------------------------------------
@@ -322,7 +312,8 @@ class DecodeReport:
     corrected is true exactly when a syndrome was identified; fidelity is
     measured against the caller's reference state after recovery, and
     disentangled reports whether the block ended in a tensor product with
-    all environment factors (maximal Schmidt coefficient within 1e-9 of 1).
+    all environment factors (maximal Schmidt coefficient within TOL_NORM of
+    1).
     """
 
     def __init__(self, syndrome, outcome_trace, recovered_state, fidelity,
@@ -366,8 +357,10 @@ def correct(state, code, t, strategy, randomness, reference,
     """
     if table is None:
         table = build_syndrome_table(code, t, pattern_filter)
-    elif (table.code is not code and table.code.name != code.name):
-        raise ValueError("table was built for code %r" % table.code.name)
+    elif (table.code is not code
+          and not np.array_equal(table.code.matrix(), code.matrix())):
+        raise ValueError("table was built for another code (%r)"
+                         % table.code.name)
     try:
         measurer = _MEASURERS[strategy]
     except KeyError:
@@ -382,6 +375,6 @@ def correct(state, code, t, strategy, randomness, reference,
         outcome_trace=trace,
         recovered_state=recovered,
         fidelity=fidelity,
-        disentangled=bool(max_schmidt >= 1.0 - 1e-9),
+        disentangled=bool(max_schmidt >= 1.0 - TOL_NORM),
         corrected=syndrome is not None,
     )

@@ -1,9 +1,16 @@
 import contextlib
+import hashlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qeclab
+from qeclab import cli
 from qeclab.cli import analytic_success_bound, main
 
 
@@ -225,6 +232,82 @@ def test_simulate_rejects_bad_parameters():
     # the generic filter fails the matching precondition for this code
     rc, _, _ = run(["simulate", "--code", "phase3", "--p", "0.1", "--trials", "2"])
     assert rc == 1
+
+
+def test_simulate_refuses_an_activation_cap_it_cannot_sample():
+    # no activation among 9 qubits at p = 0.99 has probability 1e-18, so
+    # redrawing activations until the cap holds would never finish; the run
+    # goes in a child process so that a hang fails the test at its timeout
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qeclab", "simulate", "--code", "shor9",
+         "--p", "0.99", "--max-active", "0", "--trials", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "probability 1e-18, below the floor" in proc.stderr
+    # p = 1 with a cap below the eligible count can never be sampled at all
+    rc, out, err = run(["simulate", "--code", "phase3", "--p", "1",
+                        "--max-active", "2", "--filter", "phase-only",
+                        "--trials", "2"])
+    assert rc == 2
+    assert "probability 0," in err
+
+
+def _digest_without_fidelity(csv_text):
+    lines = []
+    for line in csv_text.splitlines():
+        cols = line.split(",")
+        lines.append(",".join(cols[:3] + cols[4:]))
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("strategy, digest", [
+    ("exhaustive",
+     "b13e19122dfb66b095c15444f705c6d4532d9ef9c8c33ba1a17ae0ce4af50b2d"),
+    ("hierarchical",
+     "392d477ada465cfe459a94935a17eff282a1b6cd2a8738a6df6190fa5fcf2cf1"),
+])
+def test_simulate_per_trial_draw_order_is_pinned(tmp_path, strategy, digest):
+    # every column but fidelity (whose last bits may move with the order of
+    # floating-point operations) of a fixed-seed run; a change here is a
+    # change to the reproducibility contract and must be announced
+    out = tmp_path / "records.csv"
+    rc, _, _ = run(["simulate", "--code", "shor9", "--channel", "random:2",
+                    "--max-active", "2", "--p", "0.2", "--trials", "300",
+                    "--seed", "7", "--strategy", strategy, "--out", str(out),
+                    "--summary", str(tmp_path / "summary.json")])
+    assert rc == 0
+    assert _digest_without_fidelity(out.read_text()) == digest
+
+
+def _blas_threads():
+    return cli._openblas_thread_controls()[0]()
+
+
+def test_one_blas_thread_holds_forked_workers_and_restores_the_count():
+    controls = cli._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available here")
+    get, set_ = controls
+    before = get()
+    with pytest.raises(RuntimeError):
+        with cli._one_blas_thread():
+            assert get() == 1
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                assert pool.apply(_blas_threads) == 1
+            raise RuntimeError("the count is restored on the way out")
+    assert get() == before
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, tmp_path):
+    bogus = tmp_path / "libscipy_openblas64_-0.so"
+    bogus.write_bytes(b"not a shared library")
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [str(bogus)])
+    assert cli._openblas_thread_controls() is None
+    with cli._one_blas_thread():
+        pass
 
 
 # -- catalogue --------------------------------------------------------------------

@@ -6,9 +6,12 @@ from qeclab import (
     ConditionError,
     ErrorPattern,
     PureState,
+    QuantumCode,
     apply_channel,
     apply_pattern,
     build_syndrome_table,
+    code_from_dict,
+    code_to_dict,
     correct,
     encode,
     enumerate_patterns,
@@ -308,6 +311,24 @@ def test_correct_builds_its_own_table_when_not_given_one():
     rep = correct(st, code, 1, "exhaustive", trial_generator(1, 2), ref,
                   pattern_filter="phase-only")
     assert rep.fidelity >= 1 - 1e-8
+
+
+def test_correct_checks_the_table_against_the_code_itself():
+    code, ref = encoded("phase3")
+    table = build_syndrome_table(code, 1, "phase-only")
+    st = decohered(ref, (0,))
+    # an equal code rebuilt from its description may share the table ...
+    twin = code_from_dict(code_to_dict(code))
+    assert twin is not code
+    rep = correct(st, twin, 1, "exhaustive", trial_generator(0, 0), ref,
+                  pattern_filter="phase-only", table=table)
+    assert rep.corrected
+    # ... but a different code that happens to carry the same name may not
+    impostor = QuantumCode(code.name, 3, 1, 1, [PureState.basis_state("000"),
+                                                PureState.basis_state("111")])
+    with pytest.raises(ValueError, match="another code"):
+        correct(st, impostor, 1, "exhaustive", trial_generator(0, 0), ref,
+                pattern_filter="phase-only", table=table)
 
 
 def test_correct_report_serializes():
