@@ -10,7 +10,8 @@ by luck, so the observed rate sits above the bound.
 
 import numpy as np
 
-from qeclab.cli import ExperimentConfig, analytic_success_bound, run_experiment
+from qeclab.experiment import (ExperimentConfig, analytic_success_bound,
+                              run_experiment)
 
 print("%6s %14s %16s %10s" % ("p", "bound", "observed", "margin"))
 for p in (0.01, 0.02, 0.05, 0.1, 0.2):

@@ -74,18 +74,24 @@ class QubitChannel:
         return "QubitChannel(env_dim=%d)" % self.env_dim
 
 
+def _violations(blocks):
+    """Magnitudes of the three unitarity-closure violations for a stack of
+    2 x 2d_E channel blocks (k, 2, 2d_E); returns shape (k, 3), columns in
+    the order row0_norm, row1_norm, row_orthogonality."""
+    norms = np.einsum("kij,kij->ki", blocks.conj(), blocks).real
+    cross = np.einsum("kj,kj->k", blocks[:, 0].conj(), blocks[:, 1])
+    return np.column_stack([np.abs(norms - 1.0), np.abs(cross)])
+
+
 def validate(ch):
     """Check the three unitarity-closure constraints.
 
     Returns a list of (constraint_name, violation_magnitude) pairs; empty
     when the channel is valid within 1e-9.
     """
-    row0 = math.fsum(np.abs(np.concatenate([ch.a00, ch.a01])) ** 2)
-    row1 = math.fsum(np.abs(np.concatenate([ch.a10, ch.a11])) ** 2)
-    cross = np.vdot(ch.a00, ch.a10) + np.vdot(ch.a01, ch.a11)
-    checks = (abs(row0 - 1.0), abs(row1 - 1.0), abs(cross))
+    mags = _violations(ch.block()[np.newaxis])[0]
     return [(name, float(mag))
-            for name, mag in zip(_UNITARITY_CONSTRAINTS, checks)
+            for name, mag in zip(_UNITARITY_CONSTRAINTS, mags)
             if mag > TOL_NORM]
 
 
@@ -117,25 +123,71 @@ def identity_channel(env_dim=1):
     return QubitChannel(a00=e0, a01=zero, a10=zero, a11=e0)
 
 
+def gaussian_blocks(env_dim, rng, count=1):
+    """count seeded complex Gaussian 2 x 2d_E blocks, shape (count, 2, 2d_E).
+
+    Each block draws its real parts, then its imaginary parts, from rng:
+    the draws random_channel makes, in its order."""
+    parts = rng.standard_normal((count, 2, 2, 2 * env_dim))
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def orthonormalize_blocks(blocks):
+    """Row-orthonormalize a stack of 2 x 2d_E blocks in place (Gram-Schmidt
+    on each block alone) and check every result; returns the stack."""
+    row0, row1 = blocks[:, 0], blocks[:, 1]
+    row0 /= np.linalg.norm(row0, axis=1, keepdims=True)
+    row1 -= row0 * np.einsum("kj,kj->k", row0.conj(), row1)[:, np.newaxis]
+    row1 /= np.linalg.norm(row1, axis=1, keepdims=True)
+    worst = _violations(blocks).max(initial=0.0)
+    if worst > TOL_NORM:
+        raise ValueError("orthonormalized channel violates unitarity by %.3e"
+                         % worst)
+    return blocks
+
+
 def random_channel(env_dim, rng):
     """A random valid channel: a seeded complex Gaussian 2 x 2d_E matrix,
     row-orthonormalized (Gram-Schmidt), split into the four vectors."""
-    M = rng.standard_normal((2, 2 * env_dim)) \
-        + 1j * rng.standard_normal((2, 2 * env_dim))
-    M[0] /= np.linalg.norm(M[0])
-    M[1] -= M[0] * np.vdot(M[0], M[1])
-    M[1] /= np.linalg.norm(M[1])
+    M = orthonormalize_blocks(gaussian_blocks(env_dim, rng))[0]
     return QubitChannel(a00=M[0, :env_dim], a01=M[0, env_dim:],
                         a10=M[1, :env_dim], a11=M[1, env_dim:])
+
+
+def entangle_stack(amps, qubit, blocks):
+    """Entangle `qubit` of every state in a stack with a fresh environment
+    factor.
+
+    amps holds g states as (g, 2^n, d_1, ..., d_k); blocks holds each
+    state's 2 x 2d_E channel block, (g, 2, 2d_E), or one block shared by all,
+    (1, 2, 2d_E). Each basis amplitude with qubit bit b turns into the
+    superposition over output bits c weighted by the components of a_{b,c}.
+    Returns (g, 2^n, d_1, ..., d_k, d_E); every state's amplitudes come from
+    its own amplitudes and block alone.
+    """
+    g = amps.shape[0]
+    d = blocks.shape[2] // 2
+    # axis 4 of src is this qubit's bit: src[..., 0, :] and src[..., 1, :]
+    # pair the basis states that differ only in it
+    src = amps.reshape(g, 1, 1, 1 << qubit, 2, -1)
+    # w[k, b, e, c] = a_{b,c}[e] of block k, broadcast over the high and
+    # low bits
+    w = blocks.reshape(-1, 2, 2, d).transpose(0, 1, 3, 2)
+    w = w[..., np.newaxis, np.newaxis]
+    # laid out (state, e, output bit, high bits, low bits), so the inner
+    # loops run over the low bits rather than over d_E
+    out = src[..., 0, :] * w[:, 0]
+    out += src[..., 1, :] * w[:, 1]
+    out = out.transpose(0, 3, 2, 4, 1)
+    return np.ascontiguousarray(out).reshape(amps.shape + (d,))
 
 
 def apply_channel(state, qubit, ch):
     """Entangle `qubit` with a fresh d_E-dimensional environment factor.
 
-    Each basis amplitude with qubit bit g turns into the superposition over
-    output bits g' weighted by the components of a_{g,g'}. Requires that the
-    qubit has no environment factor yet (one channel transit per qubit;
-    re-entanglement is out of scope).
+    The one-state case of entangle_stack. Requires that the qubit has no
+    environment factor yet (one channel transit per qubit; re-entanglement
+    is out of scope).
     """
     bad = validate(ch)
     if bad:
@@ -147,17 +199,9 @@ def apply_channel(state, qubit, ch):
         raise ValueError("qubit %d already has an environment factor "
                          "(re-entanglement is out of scope)" % qubit)
     layout = state.layout.with_env(qubit, ch.env_dim)
-    bit = 1 << (n - 1 - qubit)
-    sel0 = (np.arange(state.layout.system_dim) & bit) == 0
-    sel1 = ~sel0
-    # amps[sel0][i] and amps[sel1][i] are the paired basis states differing
-    # only in this qubit's bit; rows of `out` are indexed by the output bit
-    a0 = state.amps[sel0][..., np.newaxis]
-    a1 = state.amps[sel1][..., np.newaxis]
-    out = np.empty(layout.shape, dtype=np.complex128)
-    out[sel0] = a0 * ch.a00 + a1 * ch.a10
-    out[sel1] = a0 * ch.a01 + a1 * ch.a11
-    return PureState._trusted(layout, out, normalized=state.is_normalized)
+    out = entangle_stack(state.amps[np.newaxis], qubit,
+                         ch.block()[np.newaxis])
+    return PureState._trusted(layout, out[0], normalized=state.is_normalized)
 
 
 def residue_oracle(channels, alpha, beta):

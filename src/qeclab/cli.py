@@ -14,23 +14,17 @@ Exit codes: 0 pass/success, 1 semantic failure (a condition violated or a
 verdict mismatch), 2 malformed input (unreadable files, invalid ranges,
 layout-cap overflow).
 
-Reproducibility: every trial draws from a counter-based substream keyed by
-(seed, trial index) only, in a fixed order (activation, channel parameters,
-logical state, measurements). Trial results therefore never depend on the
-worker count or execution order, and two runs with the same seed produce
-byte-identical CSV.
+This module parses arguments and writes output only. ``simulate`` runs on
+the Monte Carlo engine in ``experiment``, which stacks trials into batches
+without changing any trial's result: records depend on (seed, trial) alone,
+so two runs with the same seed produce byte-identical CSV at any worker
+count.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import glob
 import json
-import math
-import multiprocessing
-import os
 import sys
 
 import numpy as np
@@ -38,312 +32,14 @@ import numpy as np
 from .bitstrings import BitString
 from .bounds import (gv_guaranteed_codewords, hamming_holds, min_n_gv,
                      min_n_hamming, sphere_volume)
-from .channels import (apply_channel, load_channel, make_decoherence,
-                       random_channel)
+from .channels import apply_channel, make_decoherence
 from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     encode, load_code, run_checker)
 from .decoder import PATTERN_FILTERS, build_syndrome_table, correct
+from .experiment import (SUCCESS_FIDELITY, BadInput, ExperimentConfig,
+                         records_to_csv, run_experiment)
 from .rng import trial_generator
-from .statespace import DIM_CAP, TOL_NORM, PureState
-
-#: a trial counts as an exact success iff fidelity >= this AND disentangled
-SUCCESS_FIDELITY = 1.0 - 1e-8
-
-CSV_HEADER = "trial,activated,syndrome,fidelity,disentangled,corrected"
-
-#: --max-active runs are refused when the cap holds with less than this
-#: probability: each trial redraws its activations until the cap holds, so
-#: it would take about 1/probability draws.
-MIN_ACCEPTANCE = 1e-6
-
-
-class BadInput(ValueError):
-    """Malformed input surfaced to the user with exit code 2."""
-
-
-# -- experiment configuration ----------------------------------------------------
-
-class ExperimentConfig:
-    """Primitive-valued description of one Monte Carlo experiment.
-
-    All fields are plain strings/numbers so a config crosses process
-    boundaries untouched; heavyweight objects (code, channel, table) are
-    reconstructed inside each worker.
-    """
-
-    FIELDS = ("code", "p", "channel", "qubits", "trials", "seed", "strategy",
-              "logical", "pattern_filter", "t", "max_active")
-
-    def __init__(self, code, p, channel="decoherence:0", qubits="all",
-                 trials=1000, seed=0, strategy="exhaustive",
-                 logical="random", pattern_filter="all", t=None,
-                 max_active=None):
-        self.code = code
-        self.p = float(p)
-        self.channel = channel
-        self.qubits = qubits if qubits == "all" else tuple(
-            sorted(int(q) for q in qubits))
-        self.trials = int(trials)
-        self.seed = int(seed)
-        self.strategy = strategy
-        self.logical = logical if logical == "random" else tuple(
-            complex(c) for c in logical)
-        self.pattern_filter = pattern_filter
-        self.t = None if t is None else int(t)
-        self.max_active = None if max_active is None else int(max_active)
-        if not 0.0 <= self.p <= 1.0:
-            raise BadInput("activation probability must lie in [0, 1]")
-        if self.trials < 1:
-            raise BadInput("need at least one trial")
-        if self.strategy not in ("exhaustive", "hierarchical"):
-            raise BadInput("unknown strategy %r" % strategy)
-        if self.pattern_filter not in PATTERN_FILTERS:
-            raise BadInput("unknown pattern filter %r" % pattern_filter)
-        if self.max_active is not None and self.max_active < 0:
-            raise BadInput("max_active must be >= 0")
-
-    def as_dict(self):
-        out = {f: getattr(self, f) for f in self.FIELDS}
-        if out["qubits"] != "all":
-            out["qubits"] = list(out["qubits"])
-        if out["logical"] != "random":
-            out["logical"] = [[c.real, c.imag] for c in out["logical"]]
-        return out
-
-
-def parse_channel_spec(spec):
-    """Parse "decoherence:<overlap>", "random:<env_dim>", or a JSON path.
-
-    Returns (kind, value): ("decoherence", QubitChannel),
-    ("random", env_dim), or ("file", QubitChannel).
-    """
-    if spec.startswith("decoherence:"):
-        try:
-            overlap = complex(spec.split(":", 1)[1])
-        except ValueError:
-            raise BadInput("bad overlap in channel spec %r" % spec)
-        if abs(overlap) > 1.0:
-            raise BadInput("decoherence overlap magnitude exceeds 1")
-        return "decoherence", make_decoherence(overlap)
-    if spec.startswith("random:"):
-        try:
-            d = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise BadInput("bad dimension in channel spec %r" % spec)
-        if d < 1:
-            raise BadInput("random channel dimension must be >= 1")
-        return "random", d
-    try:
-        return "file", load_channel(spec)
-    except (OSError, ValueError) as exc:
-        raise BadInput("cannot load channel %r: %s" % (spec, exc))
-
-
-class _ExperimentContext:
-    """Everything a worker needs to run trials, rebuilt per process."""
-
-    def __init__(self, config):
-        self.config = config
-        try:
-            self.code = load_code(config.code)
-        except (OSError, ValueError) as exc:
-            raise BadInput(str(exc))
-        self.t = config.t if config.t is not None else self.code.claimed_t
-        self.kind, self.channel_value = parse_channel_spec(config.channel)
-        if config.qubits == "all":
-            self.eligible = list(range(self.code.n))
-        else:
-            if any(not 0 <= q < self.code.n for q in config.qubits):
-                raise BadInput("qubit list names qubits outside the block")
-            self.eligible = list(config.qubits)
-        env_dim = (self.channel_value if self.kind == "random"
-                   else self.channel_value.env_dim)
-        worst_active = (len(self.eligible) if config.max_active is None
-                        else min(config.max_active, len(self.eligible)))
-        joint_dim = (1 << self.code.n) * env_dim ** worst_active
-        if joint_dim > DIM_CAP:
-            raise BadInput(
-                "worst-case joint dimension 2^%d * %d^%d = %d exceeds the "
-                "cap %d; restrict --qubits or set --max-active"
-                % (self.code.n, env_dim, worst_active, joint_dim, DIM_CAP))
-        if config.max_active is not None:
-            acceptance = _at_most(len(self.eligible), config.p,
-                                  config.max_active)
-            if acceptance < MIN_ACCEPTANCE:
-                raise BadInput(
-                    "at p = %g, at most %d of %d eligible qubits activate "
-                    "with probability %.3g, below the floor %g that "
-                    "sampling under --max-active needs; raise --max-active "
-                    "or lower --p" % (config.p, config.max_active,
-                                      len(self.eligible), acceptance,
-                                      MIN_ACCEPTANCE))
-        if config.logical != "random":
-            if len(config.logical) != (1 << self.code.l):
-                raise BadInput("logical state needs %d amplitudes"
-                               % (1 << self.code.l))
-            vec = np.array(config.logical, dtype=np.complex128)
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                raise BadInput("logical state is the zero vector")
-            self.fixed_logical = vec / nrm
-        else:
-            self.fixed_logical = None
-        self.table = build_syndrome_table(self.code, self.t,
-                                          config.pattern_filter)
-
-    def run_trial(self, trial):
-        cfg = self.config
-        rng = trial_generator(cfg.seed, trial)
-        # draw order is part of the reproducibility contract:
-        # activation -> channel parameters -> logical state -> measurements
-        while True:
-            activated = [q for q in self.eligible if rng.random() < cfg.p]
-            if cfg.max_active is None or len(activated) <= cfg.max_active:
-                break
-        channels = []
-        for q in activated:
-            if self.kind == "random":
-                channels.append((q, random_channel(self.channel_value, rng)))
-            else:
-                channels.append((q, self.channel_value))
-        if self.fixed_logical is None:
-            vec = (rng.standard_normal(1 << self.code.l)
-                   + 1j * rng.standard_normal(1 << self.code.l))
-            vec /= np.linalg.norm(vec)
-        else:
-            vec = self.fixed_logical
-        reference = encode(self.code, PureState.from_amplitudes(self.code.l,
-                                                                vec))
-        state = reference
-        for q, ch in channels:
-            state = apply_channel(state, q, ch)
-        report = correct(state, self.code, self.t, cfg.strategy, rng,
-                         reference, pattern_filter=cfg.pattern_filter,
-                         table=self.table)
-        if not -TOL_NORM <= report.fidelity <= 1.0 + TOL_NORM:
-            raise AssertionError("fidelity %r out of range" % report.fidelity)
-        return {
-            "trial": trial,
-            "activated": "+".join(str(q) for q in activated),
-            "syndrome": report.syndrome.text() if report.syndrome else "none",
-            "fidelity": report.fidelity,
-            "disentangled": report.disentangled,
-            "corrected": report.corrected,
-        }
-
-
-def _run_chunk(config_dict, start, stop):
-    ctx = _ExperimentContext(ExperimentConfig(**config_dict))
-    return [ctx.run_trial(i) for i in range(start, stop)]
-
-
-def _at_most(k, p, m):
-    """Probability that at most m of k qubits activate, each independently
-    with probability p."""
-    return math.fsum(math.comb(k, i) * p ** i * (1.0 - p) ** (k - i)
-                     for i in range(min(m, k) + 1))
-
-
-def analytic_success_bound(k, t, p, max_active=None):
-    """Guaranteed exact-success probability: at most t of the k eligible
-    qubits activate. With an activation cap the probability is conditional
-    on the cap."""
-    if max_active is None:
-        return _at_most(k, p, t)
-    denom = _at_most(k, p, max_active)
-    num = _at_most(k, p, min(t, max_active))
-    return num / denom if denom > 0.0 else 1.0
-
-
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
-    or None when that library or its controls cannot be found."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir,
-                          "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's bundled OpenBLAS at one thread, restoring the old count
-    on exit; a no-op without it.
-
-    Processes forked meanwhile inherit the setting, so each pool worker runs
-    its BLAS calls on its own core instead of every worker threading them
-    over all cores at once.
-    """
-    controls = _openblas_thread_controls()
-    if controls is None:
-        yield
-        return
-    get, set_ = controls
-    old = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
-def run_experiment(config, workers=1):
-    """Run all trials, in order; returns (records, summary dict).
-
-    workers > 1 splits the trial range across processes; because each
-    trial's randomness is keyed by (seed, trial) alone, the records are
-    identical at any worker count.
-    """
-    ctx = _ExperimentContext(config)  # validates before any trial runs
-    workers = max(1, min(int(workers), config.trials))
-    if workers == 1:
-        records = [ctx.run_trial(i) for i in range(config.trials)]
-    else:
-        edges = np.linspace(0, config.trials, workers + 1).astype(int)
-        jobs = [(config.as_dict(), int(a), int(b))
-                for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with _one_blas_thread(), \
-                multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.starmap(_run_chunk, jobs)
-        records = [rec for chunk in chunks for rec in chunk]
-    successes = sum(1 for r in records
-                    if r["fidelity"] >= SUCCESS_FIDELITY and r["disentangled"])
-    corrected = sum(1 for r in records if r["corrected"])
-    summary = {
-        "config": dict(ctx.config.as_dict(),
-                       t=ctx.t,
-                       fidelity_threshold=SUCCESS_FIDELITY,
-                       eligible_qubits=list(ctx.eligible)),
-        "results": {
-            "trials": config.trials,
-            "success_count": successes,
-            "success_rate": successes / config.trials,
-            "corrected_count": corrected,
-            "mean_fidelity": math.fsum(r["fidelity"] for r in records)
-                             / config.trials,
-            "analytic_success_bound": analytic_success_bound(
-                len(ctx.eligible), ctx.t, config.p, config.max_active),
-        },
-    }
-    return records, summary
-
-
-def records_to_csv(records):
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append("%d,%s,%s,%s,%s,%s" % (
-            r["trial"], r["activated"], r["syndrome"], repr(r["fidelity"]),
-            "true" if r["disentangled"] else "false",
-            "true" if r["corrected"] else "false"))
-    return "\n".join(lines) + "\n"
+from .statespace import PureState
 
 
 # -- output plumbing --------------------------------------------------------------

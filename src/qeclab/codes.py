@@ -277,6 +277,13 @@ def synthesize_encoder(code):
     return U
 
 
+def encode_stack(code, logical):
+    """Encode a stack of logical amplitude rows: row i of logical (g x 2^l)
+    becomes sum_k logical[i, k] |C^k>; returns g x 2^n. Each row is its own
+    fixed-shape product, so it does not depend on the other rows."""
+    return np.matmul(logical[:, np.newaxis, :], code.matrix())[:, 0]
+
+
 def encode(code, logical):
     """Map a normalized l-qubit state sum c_k |k> to sum c_k |C^k>."""
     if not isinstance(logical, PureState):
@@ -284,7 +291,7 @@ def encode(code, logical):
     if logical.qubit_count != code.l or not logical.layout.is_system_only():
         raise ValueError("logical state must be a system-only state on "
                          "%d qubit(s)" % code.l)
-    out = logical.amps.ravel() @ code.matrix()
+    out = encode_stack(code, logical.amps.reshape(1, -1))[0]
     return PureState._trusted(FactorLayout(code.n), out,
                               normalized=logical.is_normalized)
 

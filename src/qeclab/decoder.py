@@ -44,8 +44,7 @@ from .errors import (ErrorPattern, apply_amplitude, apply_phase,
                      enumerate_bitstrings_by_weight, enumerate_patterns)
 from .codes import (ConditionError, check_amplitude_condition,
                     check_general_condition, check_phase_condition)
-from .statespace import (TOL_NORM, TOL_ZERO, PureState, fidelity_against,
-                         schmidt_diagnostics, state_to_dict)
+from .statespace import TOL_NORM, TOL_ZERO, PureState, state_to_dict
 
 PATTERN_FILTERS = ("all", "phase-only", "amplitude-only")
 
@@ -57,7 +56,8 @@ TABLE_TOL = 1e-8
 class SyndromeTable:
     """Ordered syndrome subspaces H_ab for one (code, t, pattern filter).
 
-    patterns[i] names the i-th subspace; matrices[i] holds its orthonormal
+    patterns[i] names the i-th subspace, texts[i] is its pattern text and
+    labels[i] its measurement label H[...]; matrices[i] holds its orthonormal
     basis {A_a P_b |C^k>} as rows (2^l x 2^n). Bases are pairwise orthonormal
     across the whole table. rows stacks every basis, matrices[i] being the
     view rows[offsets[i]:offsets[i + 1]], and conj_rows is its conjugate, so
@@ -66,7 +66,8 @@ class SyndromeTable:
     """
 
     __slots__ = ("code", "t", "pattern_filter", "patterns", "matrices",
-                 "labels", "is_complete", "rows", "conj_rows", "offsets")
+                 "texts", "labels", "is_complete", "rows", "conj_rows",
+                 "offsets")
 
     def __init__(self, code, t, pattern_filter, patterns, matrices):
         rows = np.vstack(matrices)
@@ -81,8 +82,10 @@ class SyndromeTable:
         object.__setattr__(self, "patterns", tuple(patterns))
         object.__setattr__(self, "matrices", tuple(
             rows[a:b] for a, b in zip(offsets[:-1], offsets[1:])))
+        texts = tuple(p.text() for p in patterns)
+        object.__setattr__(self, "texts", texts)
         object.__setattr__(self, "labels",
-                           tuple("H[%s]" % p.text() for p in patterns))
+                           tuple("H[%s]" % text for text in texts))
         # a table whose bases fill the whole block space leaves no room for
         # a "none" outcome: membership in the union is guaranteed upfront
         object.__setattr__(self, "is_complete", len(rows) == (1 << code.n))
@@ -153,37 +156,55 @@ def build_syndrome_table(code, t, pattern_filter="all"):
 
 # -- projective measurement ----------------------------------------------------
 
-def _coordinates(state, table):
-    """The state in syndrome coordinates: (M, coeff, p, p_none).
+def stack_coordinates(table, M):
+    """A stack of states in syndrome coordinates: (coeff, p, p_none).
 
-    M is the state's system-by-environment matrix and coeff = conj_rows @ M
-    stacks its 2^l x d_E coordinate blocks, one per subspace. p[i] is the
-    probability that subspace i answers and p_none the mass left in the
-    complement of them all (exactly 0 for a complete table).
+    M stacks g system-by-environment matrices, (g, 2^n, d_E). coeff =
+    conj_rows @ M stacks each state's 2^l x d_E coordinate blocks, one per
+    subspace, (g, rows, d_E). p[j, i] is the probability that subspace i
+    answers for state j and p_none[j] the mass left in the complement of
+    them all (exactly 0 for a complete table). Every state's numbers come
+    from fixed-shape products of its own matrix, so they do not depend on
+    the other states of the stack.
     """
+    coeff = np.matmul(table.conj_rows, M)
+    parts = coeff.view(np.float64)  # real and imaginary parts interleaved
+    p = np.add.reduceat(np.einsum("gij,gij->gi", parts, parts),
+                        table.offsets[:-1], axis=1)
+    if table.is_complete:
+        p_none = np.zeros(len(M))
+    else:
+        flat = M.reshape(len(M), -1).view(np.float64)
+        p_none = np.maximum(np.einsum("gi,gi->g", flat, flat)
+                            - np.sum(p, axis=1), 0.0)
+    return coeff, p, p_none
+
+
+def _coordinates(state, table):
+    """One state in syndrome coordinates: (M, coeff, p, p_none), the
+    one-state case of stack_coordinates with M the state's matrix."""
     _check_compatible(state, table)
     M = state.matrix()
-    coeff = table.conj_rows @ M
-    parts = coeff.view(np.float64)  # real and imaginary parts interleaved
-    p = np.add.reduceat(np.einsum("ij,ij->i", parts, parts),
-                        table.offsets[:-1])
-    if table.is_complete:
-        p_none = 0.0
-    else:
-        p_none = max(float(np.vdot(M, M).real) - float(np.sum(p)), 0.0)
-    return M, coeff, p, p_none
+    coeff, p, p_none = stack_coordinates(table, M[np.newaxis])
+    return M, coeff[0], p[0], float(p_none[0])
 
 
 def _collapse(state, table, M, coeff, p, i):
     """The renormalized state after subspace i answered (None: after every
     subspace was ruled out, leaving the complement)."""
     if i is None:
-        vec = M - table.rows.T @ coeff
-        vec /= np.linalg.norm(vec)
+        vec = _complement(table, M, coeff)
     else:
         a, b = table.offsets[i], table.offsets[i + 1]
         vec = table.matrices[i].T @ coeff[a:b] / math.sqrt(p[i])
     return PureState._trusted(state.layout, vec.reshape(state.layout.shape))
+
+
+def _complement(table, M, coeff):
+    """The renormalized part of M outside every table subspace."""
+    vec = M - table.rows.T @ coeff
+    vec /= np.linalg.norm(vec)
+    return vec
 
 
 def _outcome(u, mass_in, mass_out):
@@ -202,8 +223,10 @@ def _outcome(u, mass_in, mass_out):
     return outcome
 
 
-def _walk(state, table, randomness, dyadic):
-    """Sample a measurement walk from the syndrome probabilities.
+def sample_walk(table, p, p_none, randomness, dyadic):
+    """Sample a measurement walk from the syndrome probabilities p (a list)
+    and the complement's mass p_none: returns (answering subspace index or
+    None for the complement, outcome trace).
 
     Each step splits the current block [lo, hi) at mid -- after its first
     subspace, or for a dyadic walk after the largest power of two below its
@@ -211,8 +234,6 @@ def _walk(state, table, randomness, dyadic):
     the block's, plus the complement's until an outcome 1 proves membership
     in the block.
     """
-    M, coeff, p, p_none = _coordinates(state, table)
-    p = p.tolist()
     trace = []
     lo, hi = 0, len(p)
     # is membership in [lo, hi) already proven? Only the dyadic walk uses a
@@ -221,8 +242,7 @@ def _walk(state, table, randomness, dyadic):
     while lo < hi:
         size = hi - lo
         if size == 1 and inside:
-            return (_collapse(state, table, M, coeff, p, lo),
-                    table.patterns[lo], trace)
+            return lo, trace
         half = 1
         if dyadic and size > 1:
             half = 1 << ((size - 1).bit_length() - 1)
@@ -236,7 +256,14 @@ def _walk(state, table, randomness, dyadic):
             inside = True
         else:
             lo = mid
-    return _collapse(state, table, M, coeff, p, None), None, trace
+    return None, trace
+
+
+def _measure(state, table, randomness, dyadic):
+    M, coeff, p, p_none = _coordinates(state, table)
+    i, trace = sample_walk(table, p.tolist(), p_none, randomness, dyadic)
+    return (_collapse(state, table, M, coeff, p, i),
+            None if i is None else table.patterns[i], trace)
 
 
 def measure_exhaustive(state, table, randomness):
@@ -246,7 +273,7 @@ def measure_exhaustive(state, table, randomness):
 
     Returns (collapsed_state, syndrome_pattern_or_None, outcome_trace).
     """
-    return _walk(state, table, randomness, dyadic=False)
+    return _measure(state, table, randomness, dyadic=False)
 
 
 def measure_hierarchical(state, table, randomness):
@@ -263,7 +290,7 @@ def measure_hierarchical(state, table, randomness):
 
     Returns (collapsed_state, syndrome_pattern_or_None, outcome_trace).
     """
-    return _walk(state, table, randomness, dyadic=True)
+    return _measure(state, table, randomness, dyadic=True)
 
 
 def _check_compatible(state, table):
@@ -272,8 +299,16 @@ def _check_compatible(state, table):
                          % (state.qubit_count, table.code.n))
 
 
-_MEASURERS = {"exhaustive": measure_exhaustive,
-              "hierarchical": measure_hierarchical}
+#: strategy name -> does its walk split blocks dyadically?
+DYADIC = {"exhaustive": False, "hierarchical": True}
+
+
+def _dyadic(strategy):
+    try:
+        return DYADIC[strategy]
+    except KeyError:
+        raise ValueError("unknown strategy %r (choose from %s)"
+                         % (strategy, ", ".join(sorted(DYADIC))))
 
 
 # -- exact outcome distributions ------------------------------------------------
@@ -288,11 +323,9 @@ def syndrome_distribution(state, table, strategy="exhaustive"):
     remaining mass, which both strategies sample, so the two strategies
     give the same distribution.
     """
-    if strategy not in _MEASURERS:
-        raise ValueError("unknown strategy %r" % strategy)
+    _dyadic(strategy)
     _, _, p, p_none = _coordinates(state, table)
-    labels = [pat.text() for pat in table.patterns] + ["none"]
-    return labels, np.append(p, p_none)
+    return list(table.texts) + ["none"], np.append(p, p_none)
 
 
 # -- recovery and the end-to-end decode ------------------------------------------
@@ -345,6 +378,37 @@ class DecodeReport:
                                    self.disentangled, self.corrected))
 
 
+def verify_blocks(table, blocks, p, references):
+    """Verify a stack of identified outcomes: (fidelity, max Schmidt
+    coefficient), one entry per outcome.
+
+    blocks (g, 2^l, d_E) holds each outcome's coordinate block coeff_i in
+    the subspace i that answered, p (g,) its probability p_i and references
+    (g, 2^n) the system amplitudes fidelity is measured against. The
+    recovered state is C^T b with b = coeff_i / sqrt(p_i); C^T is an
+    isometry, so the fidelity ||(conj(ref) C^T) b||^2 and the Schmidt
+    coefficients (the singular values of b) come from the 2^l x d_E block
+    alone. Every outcome's numbers come from fixed-shape products of its
+    own arrays.
+    """
+    blocks = blocks / np.sqrt(p)[:, np.newaxis, np.newaxis]
+    ref_coords = np.matmul(references.conj()[:, np.newaxis, :],
+                           table.code.matrix().T)
+    w = np.matmul(ref_coords, blocks)
+    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
+    max_schmidt = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    return blocks, fidelity, max_schmidt
+
+
+def verify_complement(table, M, coeff, reference):
+    """Verify a decode that ended in the complement of every subspace:
+    (renormalized complement matrix, fidelity, max Schmidt coefficient)."""
+    rest = _complement(table, M, coeff)
+    w = reference.conj() @ rest
+    sv = np.linalg.svd(rest, compute_uv=False)
+    return rest, float(np.sum(np.abs(w) ** 2)), float(sv[0])
+
+
 def correct(state, code, t, strategy, randomness, reference,
             pattern_filter="all", table=None):
     """Measure, recover, verify: the full decode pass.
@@ -361,20 +425,30 @@ def correct(state, code, t, strategy, randomness, reference,
           and not np.array_equal(table.code.matrix(), code.matrix())):
         raise ValueError("table was built for another code (%r)"
                          % table.code.name)
-    try:
-        measurer = _MEASURERS[strategy]
-    except KeyError:
-        raise ValueError("unknown strategy %r (choose from %s)"
-                         % (strategy, ", ".join(sorted(_MEASURERS))))
-    collapsed, syndrome, trace = measurer(state, table, randomness)
-    recovered = recover(collapsed, syndrome) if syndrome else collapsed
-    fidelity = fidelity_against(recovered, reference)
-    max_schmidt, _ = schmidt_diagnostics(recovered)
+    dyadic = _dyadic(strategy)
+    if not reference.layout.is_system_only():
+        raise ValueError("reference must be a system-only state")
+    if reference.qubit_count != state.qubit_count:
+        raise ValueError("qubit count mismatch: %d vs %d"
+                         % (reference.qubit_count, state.qubit_count))
+    M, coeff, p, p_none = _coordinates(state, table)
+    i, trace = sample_walk(table, p.tolist(), p_none, randomness, dyadic)
+    ref = reference.amps.reshape(1, -1)
+    if i is None:
+        recovered, fidelity, max_schmidt = verify_complement(table, M, coeff,
+                                                             ref[0])
+    else:
+        a, b = table.offsets[i], table.offsets[i + 1]
+        blocks, fidelity, max_schmidt = verify_blocks(
+            table, coeff[np.newaxis, a:b], p[i:i + 1], ref)
+        recovered = table.code.matrix().T @ blocks[0]
+        fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
     return DecodeReport(
-        syndrome=syndrome,
+        syndrome=None if i is None else table.patterns[i],
         outcome_trace=trace,
-        recovered_state=recovered,
+        recovered_state=PureState._trusted(
+            state.layout, recovered.reshape(state.layout.shape)),
         fidelity=fidelity,
         disentangled=bool(max_schmidt >= 1.0 - TOL_NORM),
-        corrected=syndrome is not None,
+        corrected=i is not None,
     )

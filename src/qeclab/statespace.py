@@ -32,7 +32,7 @@ class FactorLayout:
     a qubit appears at most once (re-entangling a qubit is out of scope).
     """
 
-    __slots__ = ("qubit_count", "env_factors")
+    __slots__ = ("qubit_count", "env_factors", "env_dim")
 
     def __init__(self, qubit_count, env_factors=()):
         env_factors = tuple((int(q), int(d)) for q, d in env_factors)
@@ -50,6 +50,8 @@ class FactorLayout:
             seen.add(q)
         object.__setattr__(self, "qubit_count", qubit_count)
         object.__setattr__(self, "env_factors", env_factors)
+        object.__setattr__(self, "env_dim",
+                           math.prod(d for _, d in env_factors))
         if self.total_dim > DIM_CAP:
             raise ValueError("layout dimension %d exceeds cap %d"
                              % (self.total_dim, DIM_CAP))
@@ -64,10 +66,6 @@ class FactorLayout:
     @property
     def env_dims(self):
         return tuple(d for _, d in self.env_factors)
-
-    @property
-    def env_dim(self):
-        return int(np.prod(self.env_dims, dtype=np.int64)) if self.env_factors else 1
 
     @property
     def total_dim(self):
@@ -99,6 +97,7 @@ class FactorLayout:
         object.__setattr__(self, "qubit_count", 0)
         object.__setattr__(self, "env_factors",
                            tuple(enumerate(dims)))
+        object.__setattr__(self, "env_dim", math.prod(dims))
         if self.total_dim > DIM_CAP:
             raise ValueError("layout dimension %d exceeds cap %d"
                              % (self.total_dim, DIM_CAP))

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import qeclab
-from qeclab import cli
-from qeclab.cli import analytic_success_bound, main
+from qeclab import experiment
+from qeclab.cli import main
+from qeclab.experiment import analytic_success_bound
 
 
 def run(argv):
@@ -283,17 +284,17 @@ def test_simulate_per_trial_draw_order_is_pinned(tmp_path, strategy, digest):
 
 
 def _blas_threads():
-    return cli._openblas_thread_controls()[0]()
+    return experiment._openblas_thread_controls()[0]()
 
 
 def test_one_blas_thread_holds_forked_workers_and_restores_the_count():
-    controls = cli._openblas_thread_controls()
+    controls = experiment._openblas_thread_controls()
     if controls is None:
         pytest.skip("numpy's bundled OpenBLAS is not available here")
     get, set_ = controls
     before = get()
     with pytest.raises(RuntimeError):
-        with cli._one_blas_thread():
+        with experiment._one_blas_thread():
             assert get() == 1
             with multiprocessing.get_context("fork").Pool(1) as pool:
                 assert pool.apply(_blas_threads) == 1
@@ -304,9 +305,9 @@ def test_one_blas_thread_holds_forked_workers_and_restores_the_count():
 def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, tmp_path):
     bogus = tmp_path / "libscipy_openblas64_-0.so"
     bogus.write_bytes(b"not a shared library")
-    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [str(bogus)])
-    assert cli._openblas_thread_controls() is None
-    with cli._one_blas_thread():
+    monkeypatch.setattr(experiment.glob, "glob", lambda pattern: [str(bogus)])
+    assert experiment._openblas_thread_controls() is None
+    with experiment._one_blas_thread():
         pass
 
 
