@@ -123,12 +123,12 @@ def identity_channel(env_dim=1):
     return QubitChannel(a00=e0, a01=zero, a10=zero, a11=e0)
 
 
-def gaussian_blocks(env_dim, rng, count=1):
-    """count seeded complex Gaussian 2 x 2d_E blocks, shape (count, 2, 2d_E).
-
-    Each block draws its real parts, then its imaginary parts, from rng:
-    the draws random_channel makes, in its order."""
-    parts = rng.standard_normal((count, 2, 2, 2 * env_dim))
+def gaussian_blocks(normals, env_dim):
+    """Complex Gaussian 2 x 2d_E blocks, (count, 2, 2d_E), from standard
+    normals, 8 d_E per block along the last axis: each block takes its real
+    parts, then its imaginary parts -- the order random_channel draws them
+    in."""
+    parts = normals.reshape(-1, 2, 2, 2 * env_dim)
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -149,7 +149,8 @@ def orthonormalize_blocks(blocks):
 def random_channel(env_dim, rng):
     """A random valid channel: a seeded complex Gaussian 2 x 2d_E matrix,
     row-orthonormalized (Gram-Schmidt), split into the four vectors."""
-    M = orthonormalize_blocks(gaussian_blocks(env_dim, rng))[0]
+    M = orthonormalize_blocks(gaussian_blocks(
+        rng.standard_normal(8 * env_dim), env_dim))[0]
     return QubitChannel(a00=M[0, :env_dim], a01=M[0, env_dim:],
                         a10=M[1, :env_dim], a11=M[1, env_dim:])
 

@@ -212,21 +212,23 @@ def _outcome(u, mass_in, mass_out):
     rest of the mass not yet ruled out, mass_out: the single uniform deviate
     u is thresholded at the conditional probability. A side whose conditional
     probability falls below the zero threshold counts as exactly 0 (it has
-    no collapsed state), forcing the other outcome."""
+    no collapsed state), forcing the other outcome. Returns (outcome,
+    whether that rule overrode the outcome the deviate gave)."""
     rem = mass_in + mass_out
     prob = mass_in / rem
-    outcome = u < prob
+    drawn = outcome = u < prob
     if outcome and prob < TOL_ZERO:
         outcome = False
     if not outcome and mass_out < TOL_ZERO * rem:
         outcome = True
-    return outcome
+    return outcome, outcome != drawn
 
 
 def sample_walk(table, p, p_none, randomness, dyadic):
     """Sample a measurement walk from the syndrome probabilities p (a list)
     and the complement's mass p_none: returns (answering subspace index or
-    None for the complement, outcome trace).
+    None for the complement, outcome trace, number of outcomes the zero
+    threshold forced against the deviate).
 
     Each step splits the current block [lo, hi) at mid -- after its first
     subspace, or for a dyadic walk after the largest power of two below its
@@ -235,6 +237,7 @@ def sample_walk(table, p, p_none, randomness, dyadic):
     in the block.
     """
     trace = []
+    forced = 0
     lo, hi = 0, len(p)
     # is membership in [lo, hi) already proven? Only the dyadic walk uses a
     # complete table's upfront guarantee to skip its last measurement.
@@ -242,13 +245,15 @@ def sample_walk(table, p, p_none, randomness, dyadic):
     while lo < hi:
         size = hi - lo
         if size == 1 and inside:
-            return lo, trace
+            return lo, trace, forced
         half = 1
         if dyadic and size > 1:
             half = 1 << ((size - 1).bit_length() - 1)
         mid = lo + half
-        outcome = _outcome(randomness.random(), sum(p[lo:mid]),
-                           sum(p[mid:hi]) + (0.0 if inside else p_none))
+        outcome, overridden = _outcome(
+            randomness.random(), sum(p[lo:mid]),
+            sum(p[mid:hi]) + (0.0 if inside else p_none))
+        forced += overridden
         label = table.labels[lo] if half == 1 else "U[%d..%d]" % (lo, mid - 1)
         trace.append((label, int(outcome)))
         if outcome:
@@ -256,12 +261,13 @@ def sample_walk(table, p, p_none, randomness, dyadic):
             inside = True
         else:
             lo = mid
-    return None, trace
+    return None, trace, forced
 
 
 def _measure(state, table, randomness, dyadic):
     M, coeff, p, p_none = _coordinates(state, table)
-    i, trace = sample_walk(table, p.tolist(), p_none, randomness, dyadic)
+    i, trace, _ = sample_walk(table, p.tolist(), p_none, randomness,
+                               dyadic)
     return (_collapse(state, table, M, coeff, p, i),
             None if i is None else table.patterns[i], trace)
 
@@ -432,7 +438,8 @@ def correct(state, code, t, strategy, randomness, reference,
         raise ValueError("qubit count mismatch: %d vs %d"
                          % (reference.qubit_count, state.qubit_count))
     M, coeff, p, p_none = _coordinates(state, table)
-    i, trace = sample_walk(table, p.tolist(), p_none, randomness, dyadic)
+    i, trace, _ = sample_walk(table, p.tolist(), p_none, randomness,
+                               dyadic)
     ref = reference.amps.reshape(1, -1)
     if i is None:
         recovered, fidelity, max_schmidt = verify_complement(table, M, coeff,

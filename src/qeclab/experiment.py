@@ -14,16 +14,23 @@ byte-identical CSV.
 Trials run in blocks whose stacked states hold at most BLOCK_AMPLITUDES
 joint amplitudes, each block in three phases:
 
-1. draw -- each trial makes its draws from its own generator: activation
-   (redrawn while it exceeds --max-active), then channel parameters, then
-   the logical state; the generator is kept for the measurements;
-2. propagate -- trials that activated the same qubits form a group: one
-   product encodes the group, its random channels are orthonormalized as
-   one stack, each activated qubit's channel is applied to the whole stack,
-   and one product takes every trial's syndrome coordinates;
-3. decode -- trial by trial, in trial order, the measurement walk runs on
-   the trial's own generator, and the outcome is verified on its small
-   syndrome block.
+1. draw -- the context's one generator is re-keyed to each trial's
+   substream in turn, and the trial makes all its draws before the next
+   re-key: activation (redrawn while it exceeds --max-active), then one
+   standard-normal draw holding the channel parameters and the logical
+   state, then uniform deviates for the measurement walk, as many as the
+   walk can take (one per syndrome subspace);
+2. propagate -- trials that activated the same qubits form a group: the
+   group's logical states are normalized and encoded as one stack, its
+   random channels are orthonormalized as one stack, each activated
+   qubit's channel is applied to the whole stack, and one product takes
+   every trial's syndrome coordinates;
+3. decode -- trial by trial, in trial order, the measurement walk consumes
+   the trial's prefetched deviates, and the outcome is verified on its
+   small syndrome block.
+
+A draw of k values gives the values of k one-value draws, in order, so
+fusing the draws leaves every trial's stream and results unchanged.
 
 Batching leaves every trial's results unchanged: each product in phase 2 is
 a fixed-shape product per trial, which numpy loops over the stack, so no
@@ -48,7 +55,7 @@ from .codes import encode_stack, load_code
 from .decoder import (DYADIC, PATTERN_FILTERS, build_syndrome_table,
                       sample_walk, stack_coordinates, verify_blocks,
                       verify_complement)
-from .rng import trial_generator
+from .rng import Prefetched, TrialStreams
 from .statespace import DIM_CAP, TOL_NORM
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
@@ -165,6 +172,8 @@ class _ExperimentContext:
         else:
             if any(not 0 <= q < self.code.n for q in config.qubits):
                 raise BadInput("qubit list names qubits outside the block")
+            if len(set(config.qubits)) < len(config.qubits):
+                raise BadInput("qubit list repeats an index")
             self.eligible = list(config.qubits)
         if self.kind == "random":
             self.env_dim = self.channel_value
@@ -210,13 +219,20 @@ class _ExperimentContext:
                                           config.pattern_filter)
         self.dyadic = DYADIC[config.strategy]
         self.block_trials = max(1, BLOCK_AMPLITUDES // self.worst_dim)
+        # standard normals a trial draws per activated qubit (a random
+        # channel's real and imaginary 2 x 2d_E parts) and for its logical
+        # state (2^l real, then 2^l imaginary parts)
+        self.channel_normals = 8 * self.env_dim if self.kind == "random" else 0
+        self.logical_normals = (2 << self.code.l if self.fixed_logical is None
+                                else 0)
+        self.streams = TrialStreams()
 
     def draw(self, trial):
-        """Phase 1 of one trial: (activated qubits, complex Gaussian channel
-        blocks or None, logical amplitudes or None, the trial's generator).
+        """Phase 1 of one trial: (activated qubits, the trial's standard
+        normals or None when it needs none, its walk's uniform deviates).
         """
         cfg = self.config
-        rng = trial_generator(cfg.seed, trial)
+        rng = self.streams.rekey(cfg.seed, trial)
         # draw order is part of the reproducibility contract:
         # activation -> channel parameters -> logical state -> measurements
         while True:
@@ -224,15 +240,10 @@ class _ExperimentContext:
             if cfg.max_active is None or sum(hits) <= cfg.max_active:
                 break
         activated = tuple(q for q, hit in zip(self.eligible, hits) if hit)
-        normals = None
-        if self.kind == "random" and activated:
-            normals = gaussian_blocks(self.env_dim, rng, len(activated))
-        logical = None
-        if self.fixed_logical is None:
-            logical = (rng.standard_normal(1 << self.code.l)
-                       + 1j * rng.standard_normal(1 << self.code.l))
-            logical /= np.linalg.norm(logical)
-        return activated, normals, logical, rng
+        count = self.channel_normals * len(activated) + self.logical_normals
+        normals = rng.standard_normal(count) if count else None
+        # a walk measures at most once per subspace
+        return activated, normals, rng.random(len(self.table))
 
     def propagate(self, activated, draws):
         """Phase 2 of a group of trials that all activated `activated`:
@@ -240,15 +251,26 @@ class _ExperimentContext:
         (g, 2^n, d_E^m), and their syndrome coordinates coeff, p, p_none).
         """
         g = len(draws)
+        split = self.channel_normals * len(activated)
+        if split or self.fixed_logical is None:
+            normals = np.array([d[1] for d in draws])
         if self.fixed_logical is None:
-            logical = np.array([d[2] for d in draws])
+            half = 1 << self.code.l
+            logical = (normals[:, split:split + half]
+                       + 1j * normals[:, split + half:])
+            # row by row the sum np.linalg.norm takes, so that the norms
+            # match the one-trial case bit for bit
+            logical /= np.sqrt(
+                np.vecdot(logical.real, logical.real)
+                + np.vecdot(logical.imag, logical.imag))[:, np.newaxis]
         else:
             logical = np.repeat(self.fixed_logical[np.newaxis], g, axis=0)
         refs = encode_stack(self.code, logical)
         blocks = None
-        if self.kind == "random" and activated:
-            blocks = orthonormalize_blocks(np.concatenate(
-                [d[1] for d in draws])).reshape(g, len(activated), 2, -1)
+        if split:
+            blocks = orthonormalize_blocks(gaussian_blocks(
+                normals[:, :split], self.env_dim)).reshape(
+                    g, len(activated), 2, -1)
         amps = refs
         for j, q in enumerate(activated):
             amps = entangle_stack(
@@ -279,7 +301,8 @@ class _ExperimentContext:
         return out
 
     def run_block(self, start, stop):
-        """Records and measurement counts of trials [start, stop)."""
+        """Records of trials [start, stop), and (measurements, forced
+        outcomes) of each trial's walk."""
         draws = [self.draw(trial) for trial in range(start, stop)]
         groups = collections.defaultdict(list)
         for k, d in enumerate(draws):
@@ -291,12 +314,13 @@ class _ExperimentContext:
         for members, _, _, _, p, p_none in stacks:
             for k, row, rest in zip(members, p.tolist(), p_none.tolist()):
                 probabilities[k] = row, rest
-        # phase 3: every trial walks on its own generator, in trial order
-        answered, measurements = [], []
+        # phase 3: every trial walks on its own deviates, in trial order
+        answered, walks = [], []
         for d, (p, p_none) in zip(draws, probabilities):
-            i, trace = sample_walk(self.table, p, p_none, d[3], self.dyadic)
+            i, trace, forced = sample_walk(self.table, p, p_none,
+                                           Prefetched(d[2]), self.dyadic)
             answered.append(i)
-            measurements.append(len(trace))
+            walks.append((len(trace), forced))
         verdicts = [None] * len(draws)
         for members, refs, M, coeff, p, _ in stacks:
             got = self.verify([answered[k] for k in members], refs, M,
@@ -316,17 +340,17 @@ class _ExperimentContext:
                 "disentangled": max_schmidt >= 1.0 - TOL_NORM,
                 "corrected": i is not None,
             })
-        return records, measurements
+        return records, walks
 
     def run_range(self, start, stop):
-        """Records and measurement counts of trials [start, stop), one block
-        of at most block_trials trials at a time."""
-        records, measurements = [], []
+        """run_block's records and walk counts of trials [start, stop), one
+        block of at most block_trials trials at a time."""
+        records, walks = [], []
         for a in range(start, stop, self.block_trials):
             got = self.run_block(a, min(a + self.block_trials, stop))
             records += got[0]
-            measurements += got[1]
-        return records, measurements
+            walks += got[1]
+        return records, walks
 
 
 #: the context of a forked pool worker, inherited from the parent process
@@ -410,11 +434,14 @@ def run_experiment(config, workers=1):
     trial's randomness is keyed by (seed, trial) alone, the records are
     identical at any worker count.
     """
+    workers = int(workers)
+    if workers < 1:
+        raise BadInput("need at least one worker, not %d" % workers)
     ctx = _ExperimentContext(config)  # validates before any trial runs
-    workers = max(1, min(int(workers), config.trials))
+    workers = min(workers, config.trials)
     with _one_blas_thread():
         if workers == 1:
-            records, measurements = ctx.run_range(0, config.trials)
+            records, walks = ctx.run_range(0, config.trials)
         else:
             edges = np.linspace(0, config.trials, workers + 1).astype(int)
             jobs = [(int(a), int(b))
@@ -424,11 +451,11 @@ def run_experiment(config, workers=1):
                     initargs=(ctx,)) as pool:
                 chunks = pool.starmap(_run_chunk, jobs)
             records = [rec for chunk, _ in chunks for rec in chunk]
-            measurements = [m for _, chunk in chunks for m in chunk]
-    return records, _summary(ctx, records, measurements)
+            walks = [w for _, chunk in chunks for w in chunk]
+    return records, _summary(ctx, records, walks)
 
 
-def _summary(ctx, records, measurements):
+def _summary(ctx, records, walks):
     config = ctx.config
     trials = config.trials
     successes = sum(1 for r in records
@@ -437,6 +464,7 @@ def _summary(ctx, records, measurements):
     bound = analytic_success_bound(len(ctx.eligible), ctx.t, config.p,
                                    config.max_active)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
+    measurements = [m for m, _ in walks]
     return {
         "config": dict(config.as_dict(),
                        t=ctx.t,
@@ -455,6 +483,9 @@ def _summary(ctx, records, measurements):
                                    if sigma > 0.0 else None),
             "mean_measurements": math.fsum(measurements) / trials,
             "max_measurements": max(measurements),
+            # measurements whose outcome the TOL_ZERO rule forced against
+            # the deviate drawn for it
+            "forced_outcomes": sum(f for _, f in walks),
             "syndrome_histogram": dict(collections.Counter(
                 r["syndrome"] for r in records)),
         },

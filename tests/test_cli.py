@@ -235,6 +235,30 @@ def test_simulate_rejects_bad_parameters():
     assert rc == 1
 
 
+def test_simulate_refuses_a_repeated_qubit():
+    # a repeated qubit would be eligible, and entangled, twice
+    rc, out, err = run(["simulate", "--code", "shor9", "--channel", "random:2",
+                        "--qubits", "0,0,1", "--p", "0.5", "--trials", "3"])
+    assert rc == 2
+    assert out == ""
+    assert "qubit list repeats an index" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_refuses_fewer_than_one_worker(workers):
+    # in a child process, so that a hang fails the test at its timeout
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qeclab", "simulate", "--code", "phase3",
+         "--filter", "phase-only", "--p", "0.1", "--trials", "3",
+         "--workers", workers],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "need at least one worker, not %s" % workers in proc.stderr
+
+
 def test_simulate_refuses_an_activation_cap_it_cannot_sample():
     # no activation among 9 qubits at p = 0.99 has probability 1e-18, so
     # redrawing activations until the cap holds would never finish; the run

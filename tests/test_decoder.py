@@ -25,6 +25,7 @@ from qeclab import (
     syndrome_distribution,
     trial_generator,
 )
+from qeclab.decoder import sample_walk
 
 
 class Stream:
@@ -358,3 +359,21 @@ def test_deterministic_given_the_same_deviates():
     assert reps[0].outcome_trace == reps[1].outcome_trace
     assert reps[0].fidelity == reps[1].fidelity
     assert np.array_equal(reps[0].recovered_state.amps, reps[1].recovered_state.amps)
+
+
+@pytest.mark.parametrize("p, u, answer, trace", [
+    # outcome 1 drawn for a union of negligible mass: forced to 0
+    ([1e-20, 1.0, 0.0, 0.0], 0.0, 1, [0, 1]),
+    # outcome 0 drawn while the rest holds negligible mass: forced to 1
+    ([1.0 - 1e-13, 1e-13, 0.0, 0.0], 1.0 - 2.0 ** -53, 0, [1]),
+])
+def test_sample_walk_counts_the_outcomes_the_zero_threshold_forced(
+        p, u, answer, trace):
+    table = build_syndrome_table(load_code("phase3"), 1, "phase-only")
+    i, got, forced = sample_walk(table, p, 0.0, Stream([u] * 4), False)
+    assert i == answer
+    assert [outcome for _, outcome in got] == trace
+    assert forced == 1
+    # deviates away from the threshold force nothing
+    assert sample_walk(table, [0.5, 0.5, 0.0, 0.0], 0.0, Stream([0.7, 0.2]),
+                       False)[2] == 0

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qeclab import experiment
@@ -14,6 +15,7 @@ from qeclab.decoder import build_syndrome_table
 from qeclab.experiment import (BLOCK_AMPLITUDES, ExperimentConfig,
                                analytic_success_bound, records_to_csv,
                                run_experiment)
+from qeclab.rng import Prefetched
 
 SHOR9 = dict(code="shor9", channel="random:2", max_active=2, p=0.2, seed=7)
 
@@ -79,6 +81,33 @@ def test_summary_margin_is_null_when_the_bound_is_certain():
     assert res["bound_margin_sigma"] is None
     assert res["syndrome_histogram"] == {"A(0)P(0)": 3}
     assert res["mean_measurements"] == res["max_measurements"] == 1
+
+
+def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
+    # a nearly coherent channel: a decohered qubit's phase flip carries
+    # about 5e-14 of the mass, below the zero threshold
+    config = ExperimentConfig(code="phase3", channel="decoherence:%r"
+                              % (1.0 - 1e-13), pattern_filter="phase-only",
+                              p=0.5, trials=150, seed=3)
+    assert run_experiment(config)[1]["results"]["forced_outcomes"] == 0
+    # deviates just below 1 draw outcome 0 for the unflipped subspace, which
+    # the threshold then forces to 1
+    monkeypatch.setattr(experiment, "Prefetched", lambda values: Prefetched(
+        np.full_like(values, np.nextafter(1.0, 0.0))))
+    forced = []
+    real_walk = experiment.sample_walk
+
+    def walk(*args):
+        got = real_walk(*args)
+        forced.append(got[2])
+        return got
+
+    monkeypatch.setattr(experiment, "sample_walk", walk)
+    _, summary = run_experiment(config)
+    total = sum(forced)
+    assert summary["results"]["forced_outcomes"] == total > 0
+    _, summary = run_experiment(config, workers=2)
+    assert summary["results"]["forced_outcomes"] == total
 
 
 def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):

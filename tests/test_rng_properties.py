@@ -1,0 +1,70 @@
+"""Property tests of the re-keyed trial generator and prefetched deviates.
+
+The engine re-keys one shared Philox generator per trial and draws each
+trial's walk deviates ahead of the walk; both must reproduce, draw for
+draw, what a fresh rng.trial_generator(seed, trial) would give.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qeclab import build_syndrome_table, load_code, trial_generator
+from qeclab.decoder import sample_walk
+from qeclab.rng import Prefetched, TrialStreams
+
+# derandomized, so that every run of the suite checks the same examples
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+SEEDS = st.integers(-(1 << 64), (1 << 64) - 1)
+TRIALS = st.integers(0, (1 << 64) - 1)
+TABLES = {name: build_syndrome_table(load_code(name), 1, flt)
+          for name, flt in [("phase3", "phase-only"), ("shor9", "all"),
+                            ("perfect5", "all")]}
+
+
+def draws(rng, sizes):
+    """Alternating uniform and standard-normal draws of the given sizes."""
+    return [rng.random(k) if j % 2 == 0 else rng.standard_normal(k)
+            for j, k in enumerate(sizes)]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(SEEDS, TRIALS,
+                          st.lists(st.integers(0, 40), max_size=4)),
+                min_size=1, max_size=6))
+def test_a_rekeyed_generator_replays_each_trials_stream(keys):
+    streams = TrialStreams()
+    # any order, repeated keys included, and a stream abandoned partway
+    for seed, trial, sizes in keys + keys[::-1]:
+        got = draws(streams.rekey(seed, trial), sizes)
+        want = draws(trial_generator(seed, trial), sizes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@st.composite
+def walks(draw):
+    """(table, p, p_none): syndrome probabilities over a table, with
+    exact zeros and masses around the zero threshold among them."""
+    table = TABLES[draw(st.sampled_from(sorted(TABLES)))]
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1e-20), st.just(1e-13),
+                  st.floats(0.0, 1.0)),
+        min_size=len(table) + 1, max_size=len(table) + 1))
+    if table.is_complete:
+        weights[-1] = 0.0
+    total = sum(weights)
+    if total == 0.0:
+        weights[0] = total = 1.0
+    return table, [w / total for w in weights[:-1]], weights[-1] / total
+
+
+@SETTINGS
+@given(walks(), SEEDS, TRIALS, st.booleans())
+def test_prefetched_deviates_drive_the_same_walk(walk, seed, trial, dyadic):
+    table, p, p_none = walk
+    live = sample_walk(table, p, p_none, trial_generator(seed, trial), dyadic)
+    prefetched = Prefetched(trial_generator(seed, trial).random(len(table)))
+    assert sample_walk(table, p, p_none, prefetched, dyadic) == live
