@@ -11,10 +11,9 @@ and covering bounds on code parameters.
 from .bitstrings import (BitString, add_mod2, dot_mod2, support,
                          union_weight, weight)
 from .statespace import (DIM_CAP, TOL_NORM, TOL_ZERO, FactorLayout,
-                         PureState, Subspace, fidelity_against, inner,
-                         is_disentangled, load_state, project, save_state,
-                         schmidt_diagnostics, state_from_dict, state_to_dict,
-                         tensor)
+                         PureState, fidelity_against, inner, is_disentangled,
+                         load_state, save_state, schmidt_diagnostics,
+                         state_from_dict, state_to_dict, tensor)
 from .errors import (ErrorPattern, apply_amplitude, apply_pattern,
                      apply_phase, enumerate_bitstrings_by_weight,
                      enumerate_patterns)
@@ -24,12 +23,10 @@ from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     check_phase_condition, code_from_dict, code_to_dict,
                     encode, extract_component, load_code, run_checker,
                     save_code, synthesize_encoder)
-from .channels import (NoiseModel, QubitChannel, apply_channel,
-                       channel_from_dict, channel_to_dict, identity_channel,
-                       is_valid, load_channel, load_noise_model,
-                       make_decoherence, noise_model_from_dict,
-                       random_channel, residue_oracle, save_channel,
-                       validate)
+from .channels import (QubitChannel, apply_channel, channel_from_dict,
+                       channel_to_dict, identity_channel, is_valid,
+                       load_channel, make_decoherence, random_channel,
+                       residue_oracle, save_channel, validate)
 from .decoder import (DecodeReport, SyndromeTable, build_syndrome_table,
                       correct, measure_exhaustive, measure_hierarchical,
                       recover, syndrome_distribution)

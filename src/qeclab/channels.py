@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -87,12 +86,13 @@ def validate(ch):
     """Check the three unitarity-closure constraints.
 
     Returns a list of (constraint_name, violation_magnitude) pairs; empty
-    when the channel is valid within 1e-9.
+    when the channel is valid within 1e-9. A non-finite magnitude (NaN from
+    a NaN entry) counts as a violation.
     """
     mags = _violations(ch.block()[np.newaxis])[0]
     return [(name, float(mag))
             for name, mag in zip(_UNITARITY_CONSTRAINTS, mags)
-            if mag > TOL_NORM]
+            if not mag <= TOL_NORM]
 
 
 def is_valid(ch):
@@ -140,7 +140,7 @@ def orthonormalize_blocks(blocks):
     row1 -= row0 * np.einsum("kj,kj->k", row0.conj(), row1)[:, np.newaxis]
     row1 /= np.linalg.norm(row1, axis=1, keepdims=True)
     worst = _violations(blocks).max(initial=0.0)
-    if worst > TOL_NORM:
+    if not worst <= TOL_NORM:
         raise ValueError("orthonormalized channel violates unitarity by %.3e"
                          % worst)
     return blocks
@@ -249,48 +249,6 @@ def residue_oracle(channels, alpha, beta):
     return PureState._trusted(layout, acc, normalized=False)
 
 
-# -- noise models --------------------------------------------------------------
-
-class NoiseModel:
-    """Independent per-qubit activation with probability p.
-
-    An activated qubit is sent through the model's channel; `qubits`
-    restricts which qubits are eligible ("all" or an index list).
-    """
-
-    __slots__ = ("p", "channel", "qubits")
-
-    def __init__(self, p, channel, qubits="all"):
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("activation probability must be in [0, 1]")
-        if not isinstance(channel, QubitChannel):
-            raise TypeError("channel must be a QubitChannel")
-        if qubits != "all":
-            qubits = tuple(sorted(int(q) for q in qubits))
-            if len(set(qubits)) != len(qubits):
-                raise ValueError("qubit list repeats an index")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "qubits", qubits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NoiseModel is immutable")
-
-    def eligible_qubits(self, n):
-        if self.qubits == "all":
-            return list(range(n))
-        if any(not 0 <= q < n for q in self.qubits):
-            raise ValueError("noise model names qubits outside the block")
-        return list(self.qubits)
-
-    def per_qubit(self, n):
-        """Mapping qubit index -> channel (or None for untouched qubits)."""
-        eligible = set(self.eligible_qubits(n))
-        return {q: (self.channel if q in eligible else None)
-                for q in range(n)}
-
-
 # -- files ---------------------------------------------------------------------
 
 def channel_to_dict(ch):
@@ -322,24 +280,3 @@ def save_channel(ch, path):
 def load_channel(path):
     with open(path) as fh:
         return channel_from_dict(json.load(fh))
-
-
-def noise_model_from_dict(data, base_dir="."):
-    try:
-        p = data["p"]
-        chspec = data["channel"]
-        qubits = data.get("qubits", "all")
-    except (KeyError, TypeError) as exc:
-        raise ValueError("malformed noise model: %s" % exc)
-    if isinstance(chspec, str):
-        path = chspec if os.path.isabs(chspec) else os.path.join(base_dir, chspec)
-        channel = load_channel(path)
-    else:
-        channel = channel_from_dict(chspec)
-    return NoiseModel(p, channel, qubits)
-
-
-def load_noise_model(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return noise_model_from_dict(data, base_dir=os.path.dirname(path) or ".")

@@ -148,6 +148,8 @@ def cmd_demo3(args):
         overlap = complex(args.overlap)
     except ValueError as exc:
         raise BadInput("bad amplitude or overlap literal: %s" % exc)
+    if not (np.all(np.isfinite(c)) and np.isfinite(overlap)):
+        raise BadInput("amplitudes and overlap must be finite")
     if abs(overlap) > 1.0:
         raise BadInput("decoherence overlap magnitude exceeds 1")
     nrm = np.linalg.norm(c)
@@ -166,9 +168,9 @@ def cmd_demo3(args):
         state = reference
         out.append("no qubit decoheres; the block stays pure")
     else:
-        qubit = int(args.qubit)
-        if not 0 <= qubit < 3:
+        if args.qubit not in ("0", "1", "2"):
             raise BadInput("--qubit must be 0, 1, 2, or 'none'")
+        qubit = int(args.qubit)
         ch = make_decoherence(overlap)
         state = apply_channel(reference, qubit, ch)
         out.append("qubit %d decoheres (environment overlap <a0|a1> = %s):"

@@ -31,9 +31,9 @@ from importlib import resources
 import numpy as np
 
 from .bitstrings import BitString
-from .errors import ErrorPattern, apply_pattern, apply_phase, \
+from .errors import ErrorPattern, apply_phase, \
     enumerate_bitstrings_by_weight, enumerate_patterns
-from .statespace import TOL_NORM, FactorLayout, PureState
+from .statespace import DIM_CAP, TOL_NORM, FactorLayout, PureState
 
 CHECK_TOL = 1e-9
 _VIOLATION_CAP = 64
@@ -163,18 +163,44 @@ class ConditionError(Exception):
         self.report = report
 
 
+def condition_patterns(n, t, condition):
+    """The patterns a condition ranges over at weight t, canonically ordered:
+    amplitude-only, phase-only, or (general) all of union weight <= t."""
+    if condition == "general":
+        return enumerate_patterns(n, t)
+    zeros = BitString.zeros(n)
+    parts = enumerate_bitstrings_by_weight(n, t)
+    if condition == "phase":
+        return [ErrorPattern(zeros, b) for b in parts]
+    return [ErrorPattern(a, zeros) for a in parts]
+
+
 def pattern_images(code, patterns):
     """Stacked {A_a P_b |C^k>} rows, pattern-major then k; shape
-    (len(patterns) * 2^l, 2^n)."""
-    K = 1 << code.l
-    rows = np.empty((len(patterns) * K, 1 << code.n), dtype=np.complex128)
-    for i, p in enumerate(patterns):
-        for k, vec in enumerate(code.vectors):
-            rows[i * K + k] = apply_pattern(p, vec).amps.ravel()
-    return rows
+    (len(patterns) * 2^l, 2^n).
+
+    Entry v of A_a P_b |C> is (-1)^(b.(v+a)) C[v+a], so every image is one
+    gather of the code matrix at v+a, then -- for patterns with a phase
+    part, exactly as apply_pattern does -- a product with its signs.
+    """
+    a = np.array([p.alpha.to_index() for p in patterns], dtype=np.intp)
+    b = np.array([p.beta.to_index() for p in patterns], dtype=np.intp)
+    idx = np.arange(1 << code.n) ^ a[:, np.newaxis]
+    C = code.matrix()
+    rows = C[np.arange(len(C))[:, np.newaxis], idx[:, np.newaxis, :]]
+    signed = b != 0
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx[signed]
+                                          & b[signed, np.newaxis]) & 1)
+    rows[signed] *= signs[:, np.newaxis, :]
+    return rows.reshape(-1, C.shape[1])
 
 
-def _gram_check(code, patterns, condition, t):
+def _gram_check(code, condition, t):
+    """Check one condition at weight t from the Gram matrix of its pattern
+    images: (ConditionReport, patterns, images)."""
+    if not 0 <= t <= code.n:
+        raise ValueError("need 0 <= t <= n")
+    patterns = condition_patterns(code.n, t, condition)
     K = 1 << code.l
     B = pattern_images(code, patterns)
     G = B.conj() @ B.T
@@ -186,37 +212,24 @@ def _gram_check(code, patterns, condition, t):
         violations.append((int(i % K), int(j % K),
                            patterns[i // K], patterns[j // K],
                            complex(G[i, j])))
-    return ConditionReport(condition, t, violations, len(bad), worst)
-
-
-def _check_t(code, t):
-    if not 0 <= t <= code.n:
-        raise ValueError("need 0 <= t <= n")
+    return (ConditionReport(condition, t, violations, len(bad), worst),
+            patterns, B)
 
 
 def check_amplitude_condition(code, t):
     """Can the code tell apart (and undo) any <=t bit-flip pattern?"""
-    _check_t(code, t)
-    zeros = BitString.zeros(code.n)
-    pats = [ErrorPattern(a, zeros)
-            for a in enumerate_bitstrings_by_weight(code.n, t)]
-    return _gram_check(code, pats, "amplitude", t)
+    return _gram_check(code, "amplitude", t)[0]
 
 
 def check_phase_condition(code, t):
     """Can the code tell apart (and undo) any <=t sign-flip pattern?"""
-    _check_t(code, t)
-    zeros = BitString.zeros(code.n)
-    pats = [ErrorPattern(zeros, b)
-            for b in enumerate_bitstrings_by_weight(code.n, t)]
-    return _gram_check(code, pats, "phase", t)
+    return _gram_check(code, "phase", t)[0]
 
 
 def check_general_condition(code, t):
     """Combined criterion over all patterns touching <= t qubits; subsumes
     the amplitude and phase conditions."""
-    _check_t(code, t)
-    return _gram_check(code, enumerate_patterns(code.n, t), "general", t)
+    return _gram_check(code, "general", t)[0]
 
 
 _CHECKERS = {
@@ -356,16 +369,22 @@ def code_from_dict(data):
         raw_vectors = data["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed code file: %s" % exc)
+    if not 0 <= n or (1 << n) > DIM_CAP:
+        raise ValueError("malformed code file: %d qubits" % n)
     vectors = []
-    for entries in raw_vectors:
-        vec = np.zeros(1 << n, dtype=np.complex128)
-        for entry in entries:
-            v = BitString.from_text(entry["basis"])
-            if len(v) != n:
-                raise ValueError("basis label %r has wrong length"
-                                 % entry["basis"])
-            vec[v.to_index()] = entry.get("re", 0.0) + 1j * entry.get("im", 0.0)
-        vectors.append(PureState.from_amplitudes(n, vec))
+    try:
+        for entries in raw_vectors:
+            vec = np.zeros(1 << n, dtype=np.complex128)
+            for entry in entries:
+                v = BitString.from_text(entry["basis"])
+                if len(v) != n:
+                    raise ValueError("basis label %r has wrong length"
+                                     % entry["basis"])
+                vec[v.to_index()] = (entry.get("re", 0.0)
+                                     + 1j * entry.get("im", 0.0))
+            vectors.append(PureState.from_amplitudes(n, vec))
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed code file: %s" % exc)
     return QuantumCode(name, n, l, t, vectors)
 
 

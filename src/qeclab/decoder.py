@@ -39,14 +39,14 @@ import math
 
 import numpy as np
 
-from .bitstrings import BitString
-from .errors import (ErrorPattern, apply_amplitude, apply_phase,
-                     enumerate_bitstrings_by_weight, enumerate_patterns)
-from .codes import (ConditionError, check_amplitude_condition,
-                    check_general_condition, check_phase_condition)
+from .errors import apply_amplitude, apply_phase
+from .codes import ConditionError, _gram_check
 from .statespace import TOL_NORM, TOL_ZERO, PureState, state_to_dict
 
-PATTERN_FILTERS = ("all", "phase-only", "amplitude-only")
+#: pattern filter -> the correctability condition over the same patterns
+_FILTER_CONDITIONS = {"all": "general", "phase-only": "phase",
+                      "amplitude-only": "amplitude"}
+PATTERN_FILTERS = tuple(_FILTER_CONDITIONS)
 
 #: Gram tolerance for a whole syndrome table (looser than the per-inner-
 #: product checker tolerance, since the table aggregates thousands of them).
@@ -100,58 +100,27 @@ class SyndromeTable:
         return len(self.patterns)
 
 
-_FILTER_CHECKERS = {
-    "all": check_general_condition,
-    "phase-only": check_phase_condition,
-    "amplitude-only": check_amplitude_condition,
-}
-
-
-def _filter_patterns(n, t, pattern_filter):
-    if pattern_filter == "all":
-        return enumerate_patterns(n, t)
-    zeros = BitString.zeros(n)
-    parts = enumerate_bitstrings_by_weight(n, t)
-    if pattern_filter == "phase-only":
-        return [ErrorPattern(zeros, b) for b in parts]
-    return [ErrorPattern(a, zeros) for a in parts]
-
-
 def build_syndrome_table(code, t, pattern_filter="all"):
     """Build the ordered subspace table, verifying correctability first.
 
     The matching condition (general for "all", phase for "phase-only",
     amplitude for "amplitude-only") must pass at t; otherwise the failing
-    ConditionReport is raised inside a ConditionError. The assembled table's
-    full Gram matrix is additionally verified against the identity within
-    1e-8.
+    ConditionReport is raised inside a ConditionError. The table takes the
+    checker's pattern images as its bases, and the checker's Gram matrix of
+    them is additionally verified against the identity within 1e-8.
     """
     if pattern_filter not in PATTERN_FILTERS:
         raise ValueError("unknown pattern filter %r (choose from %s)"
                          % (pattern_filter, ", ".join(PATTERN_FILTERS)))
-    report = _FILTER_CHECKERS[pattern_filter](code, t)
+    report, patterns, rows = _gram_check(
+        code, _FILTER_CONDITIONS[pattern_filter], t)
     if not report.passed:
         raise ConditionError(report)
-    patterns = _filter_patterns(code.n, t, pattern_filter)
-    C = code.matrix()  # (2^l, 2^n)
-    matrices = []
-    for p in patterns:
-        a = p.alpha.to_index()
-        b = p.beta.to_index()
-        rows = C
-        if b:
-            signs = 1.0 - 2.0 * (np.bitwise_count(
-                np.arange(1 << code.n) & b) & 1)
-            rows = rows * signs
-        if a:
-            rows = rows[:, np.arange(1 << code.n) ^ a]
-        matrices.append(rows)
-    table = SyndromeTable(code, t, pattern_filter, patterns, matrices)
-    dev = np.max(np.abs(table.conj_rows @ table.rows.T
-                        - np.eye(len(table.rows))))
-    if dev > TABLE_TOL:  # pragma: no cover - excluded by the checker above
-        raise AssertionError("syndrome table Gram deviates by %.3e" % dev)
-    return table
+    if report.worst > TABLE_TOL:  # pragma: no cover - excluded by the check
+        raise AssertionError("syndrome table Gram deviates by %.3e"
+                             % report.worst)
+    return SyndromeTable(code, t, pattern_filter, patterns,
+                         rows.reshape(len(patterns), 1 << code.l, -1))
 
 
 # -- projective measurement ----------------------------------------------------

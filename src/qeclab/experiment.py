@@ -166,6 +166,9 @@ class _ExperimentContext:
         except (OSError, ValueError) as exc:
             raise BadInput(str(exc))
         self.t = config.t if config.t is not None else self.code.claimed_t
+        if not 0 <= self.t <= self.code.n:
+            raise BadInput("decode weight t = %d lies outside [0, n = %d]"
+                           % (self.t, self.code.n))
         self.kind, self.channel_value = parse_channel_spec(config.channel)
         if config.qubits == "all":
             self.eligible = list(range(self.code.n))
@@ -209,6 +212,8 @@ class _ExperimentContext:
                 raise BadInput("logical state needs %d amplitudes"
                                % (1 << self.code.l))
             vec = np.array(config.logical, dtype=np.complex128)
+            if not np.all(np.isfinite(vec)):
+                raise BadInput("logical amplitudes must be finite")
             nrm = np.linalg.norm(vec)
             if nrm < 1e-12:
                 raise BadInput("logical state is the zero vector")

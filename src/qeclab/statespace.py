@@ -140,7 +140,7 @@ class PureState:
         arr = arr.reshape(layout.shape)
         if normalized:
             nrm = _fsum_norm_sq(arr)
-            if abs(nrm - 1.0) > TOL_NORM:
+            if not abs(nrm - 1.0) <= TOL_NORM:  # NaN fails too
                 raise ValueError("state not normalized: |amps|^2 = %.12g"
                                  % nrm)
         arr.setflags(write=False)
@@ -197,35 +197,6 @@ class PureState:
                 % (self.qubit_count, list(self.layout.env_factors), self.norm()))
 
 
-class Subspace:
-    """An orthonormal list of PureStates sharing one layout."""
-
-    __slots__ = ("members", "layout", "_mat")
-
-    def __init__(self, members):
-        members = list(members)
-        if not members:
-            raise ValueError("empty subspace")
-        layout = members[0].layout
-        if any(m.layout != layout for m in members):
-            raise ValueError("subspace members must share one layout")
-        mat = np.stack([m.amps.ravel() for m in members])
-        gram = mat.conj() @ mat.T
-        dev = np.max(np.abs(gram - np.eye(len(members))))
-        if dev > TOL_NORM:
-            raise ValueError("subspace members not orthonormal "
-                             "(worst deviation %.3e)" % dev)
-        object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __len__(self):
-        return len(self.members)
-
-
 # -- operations --------------------------------------------------------------
 
 def inner(a, b):
@@ -248,35 +219,6 @@ def tensor(a, b):
     out = out.reshape(layout.shape)
     normalized = a.is_normalized and b.is_normalized
     return PureState(layout, out, normalized=normalized)
-
-
-def _member_matrix_for(state, sub):
-    """Members as rows against `state`'s indexing, plus the matching reshape
-    of the state: full-layout members act on the flat vector; system-only
-    members are extended by identity on the environment factors."""
-    if sub.layout == state.layout:
-        return sub._mat, state.amps.reshape(-1, 1)
-    if sub.layout.is_system_only() and sub.layout.qubit_count == state.qubit_count:
-        return sub._mat, state.matrix()
-    raise ValueError("subspace layout %r incompatible with state layout %r"
-                     % (sub.layout, state.layout))
-
-
-def project(state, sub):
-    """Projective measurement outcome for the span of `sub`.
-
-    Returns (probability, component): the squared norm of the orthogonal
-    projection of `state` onto span(sub) -- extended by identity on any
-    environment factors the members lack -- and the renormalized projection
-    (None when the probability is below 1e-12).
-    """
-    W, M = _member_matrix_for(state, sub)
-    coeff = W.conj() @ M
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    if prob < TOL_ZERO:
-        return 0.0, None
-    comp = (W.T @ coeff) / math.sqrt(prob)
-    return prob, PureState._trusted(state.layout, comp.reshape(state.layout.shape))
 
 
 def schmidt_diagnostics(state):

@@ -143,6 +143,13 @@ def test_demo3_validates_inputs():
     assert rc == 2
     rc, out, err = run(["demo3", "--overlap", "1.5"])
     assert rc == 2
+    # non-finite numbers and a non-numeric qubit end in a message, not a
+    # traceback
+    for argv in (["--c0", "nan"], ["--c1", "inf"], ["--overlap", "nan"],
+                 ["--qubit", "abc"]):
+        rc, out, err = run(["demo3"] + argv)
+        assert rc == 2
+        assert err.startswith("error: ")
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -233,6 +240,33 @@ def test_simulate_rejects_bad_parameters():
     # the generic filter fails the matching precondition for this code
     rc, _, _ = run(["simulate", "--code", "phase3", "--p", "0.1", "--trials", "2"])
     assert rc == 1
+    # a decode weight outside [0, n], a NaN overlap and a non-finite logical
+    # state end in a message, not a traceback
+    for extra in (["--t", "5"], ["--t", "-1"],
+                  ["--channel", "decoherence:nan"],
+                  ["--logical", "nan,0"], ["--logical", "inf,0"]):
+        rc, _, err = run(["simulate", "--code", "phase3", "--filter",
+                          "phase-only", "--p", "0.1", "--trials", "2"] + extra)
+        assert rc == 2
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n,entry", [
+    (1, {"re": 1.0}),                  # no basis label
+    (1, {"basis": "(0)", "re": "x"}),  # a non-numeric amplitude
+    (1, "(0)"),                        # an entry that is not an object
+    (40, {"basis": "(0)"}),            # refused before 2^40 amplitudes
+    (1, {"basis": "(0)", "re": float("nan")}),  # not a normalized state
+])
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
+def test_a_malformed_code_file_exits_two(tmp_path, command, n, entry):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"name": "x", "n": n, "l": 0, "t": 0,
+                                "vectors": [[entry]]}))
+    rc, out, err = run(command + ["--code", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_simulate_refuses_a_repeated_qubit():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qeclab import experiment
-from qeclab.channels import QubitChannel, save_channel
+from qeclab.channels import (QubitChannel, channel_to_dict, make_decoherence,
+                             save_channel)
 from qeclab.cli import main
 from qeclab.codes import load_code
 from qeclab.decoder import build_syndrome_table
@@ -136,6 +137,15 @@ def test_an_invalid_channel_file_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     save_channel(QubitChannel(a00=[0.5, 0], a01=[0, 0], a10=[0, 0],
                               a11=[0, 1]), str(path))
+    rc, out, err = run(["simulate", "--code", "phase3", "--filter",
+                        "phase-only", "--p", "0.5", "--channel", str(path),
+                        "--trials", "5"])
+    assert rc == 2
+    assert "invalid channel" in err
+    # a NaN entry compares false against every tolerance, and is refused too
+    data = channel_to_dict(make_decoherence(0.0))
+    data["a00"][0][0] = float("nan")
+    path.write_text(json.dumps(data))
     rc, out, err = run(["simulate", "--code", "phase3", "--filter",
                         "phase-only", "--p", "0.5", "--channel", str(path),
                         "--trials", "5"])

@@ -5,12 +5,10 @@ from qeclab import (
     BitString,
     FactorLayout,
     PureState,
-    Subspace,
     fidelity_against,
     inner,
     is_disentangled,
     load_state,
-    project,
     save_state,
     schmidt_diagnostics,
     state_from_dict,
@@ -71,6 +69,8 @@ def test_basis_state():
 def test_normalization_enforced():
     with pytest.raises(ValueError):
         PureState.from_amplitudes(1, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        PureState.from_amplitudes(1, [np.nan, 0.0])
     st = PureState.from_amplitudes(1, [1.0, 1.0], normalized=False)
     assert st.norm() == pytest.approx(np.sqrt(2.0))
 
@@ -114,47 +114,6 @@ def test_matrix_shape_is_system_by_environment():
     assert np.allclose(st.matrix().ravel(), amps.ravel())
 
 
-def test_project_splits_probability():
-    plus = PureState.from_amplitudes(1, np.array([1, 1]) / np.sqrt(2))
-    sub = Subspace([PureState.basis_state("(0)")])
-    prob, comp = project(plus, sub)
-    assert prob == pytest.approx(0.5)
-    assert comp.norm() == pytest.approx(1.0)
-    assert np.allclose(comp.amps, [1, 0])
-
-
-def test_project_full_membership():
-    zero = PureState.basis_state("(0)")
-    prob, comp = project(zero, Subspace([zero]))
-    assert prob == pytest.approx(1.0)
-    assert np.allclose(comp.amps, zero.amps)
-
-
-def test_project_orthogonal_state():
-    one = PureState.basis_state("(1)")
-    prob, comp = project(one, Subspace([PureState.basis_state("(0)")]))
-    assert prob == 0.0
-    assert comp is None
-
-
-def test_project_acts_on_system_factor_only():
-    # membership of the qubit part must be detected through any attached
-    # environment factor
-    st = entangled_pair()
-    sub = Subspace([PureState.basis_state("(0)")])
-    prob, comp = project(st, sub)
-    assert prob == pytest.approx(0.36)
-    assert np.allclose(comp.matrix()[0], [1, 0])
-    assert np.allclose(comp.matrix()[1], [0, 0])
-
-
-def test_project_rejects_mismatched_layouts():
-    st = entangled_pair()
-    sub = Subspace([PureState.basis_state("(00)")])
-    with pytest.raises(ValueError):
-        project(st, sub)
-
-
 def test_schmidt_diagnostics_product_state():
     lay = FactorLayout(2, [(0, 2)])
     amps = np.multiply.outer(np.array([0, 1, 0, 0.0]), np.array([0.6, 0.8]))
@@ -195,15 +154,6 @@ def test_fidelity_rejects_reference_with_environment():
     joint = entangled_pair()
     with pytest.raises(ValueError):
         fidelity_against(joint, joint)
-
-
-def test_subspace_requires_orthonormal_members():
-    zero = PureState.basis_state("(0)")
-    tilted = PureState.from_amplitudes(1, np.array([1, 1]) / np.sqrt(2))
-    with pytest.raises(ValueError):
-        Subspace([zero, tilted])
-    with pytest.raises(ValueError):
-        Subspace([])
 
 
 def test_state_dict_round_trip(tmp_path):
