@@ -31,9 +31,10 @@ from .decoder import (DecodeReport, SyndromeTable, build_syndrome_table,
                       correct, measure_exhaustive, measure_hierarchical,
                       recover, syndrome_distribution)
 from .bounds import (BoundQuery, asymptotic_gv_rate, asymptotic_hamming_rate,
-                     entropy, finite_hamming_rate, gv_guaranteed_codewords,
-                     gv_inequality_holds, hamming_holds, hamming_rate_root,
-                     min_n_gv, min_n_hamming, sphere_volume)
+                     bound_rows, entropy, finite_hamming_rate,
+                     gv_guaranteed_codewords, gv_inequality_holds,
+                     hamming_holds, hamming_rate_root, min_n_gv,
+                     min_n_hamming, sphere_volume, sphere_volumes)
 from .rng import trial_generator
 
 __version__ = "0.1.0"

@@ -4,15 +4,26 @@ For a block of n qubits, l logical qubits, and correctable weight t:
 
 * sphere volume   V(n,t) = sum_{i<=t} 3^i C(n,i) -- the number of error
   patterns touching at most t qubits (three nontrivial single-qubit errors
-  per touched position);
+  per touched position); ``sphere_volume`` is the definition;
 * Hamming (packing): 2^l V(n,t) <= 2^n -- the orthogonal syndrome subspaces
   must fit in the block space;
 * Gilbert-Varshamov (covering): a maximal code correcting t errors has at
   least ceil(2^n / V(n,2t)) codewords, so 2^l is achievable once that count
   reaches 2^l.
 
-All predicates use exact big-integer arithmetic. The asymptotic rate forms
-(n -> infinity at fixed tau = t/n) are
+All predicates use exact big-integer arithmetic. ``volume_scan`` walks n
+upward at a fixed radius r with O(1) big-integer operations per step,
+
+    V(n+1, r) = 4 V(n, r) - 3^(r+1) C(n, r)
+    C(n+1, r) = C(n, r) (n+1) / (n+1-r)      (exact division)
+
+(Pascal's rule summed over i <= r). While n < r, C(n, r) = 0 and the
+volume is the full 4^n = V(n, n), so one scan also covers the rows with
+r > n. ``min_n_hamming`` and ``min_n_gv`` scan radius t and 2t, and
+``sphere_volumes`` pairs the two for the CLI's per-n table; the per-n
+definitions above serve as their test oracle.
+
+The asymptotic rate forms (n -> infinity at fixed tau = t/n) are
 
     hamming:  1 - tau log2(3) - H(tau)
     gv:       1 - 2 tau log2(3) - H(2 tau)
@@ -22,6 +33,7 @@ with H the binary entropy, H(0) = H(1) = 0 by continuity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -54,13 +66,50 @@ def hamming_holds(n, l, t):
     return (1 << l) * sphere_volume(n, t) <= (1 << n)
 
 
+def volume_scan(r, start=0):
+    """Yield V(n, min(r, n)) for n = start, start+1, ..., exact, by the
+    recurrence above."""
+    _check_nonneg(r=r, start=start)
+    n = start
+    vol = 1 << 2 * n if r >= n else sphere_volume(n, r)  # V(n, n) = 4^n
+    # 3^(r+1) C(n, r), carried whole: times n+1 it stays divisible by
+    # n+1-r, so a step only multiplies and divides it by small integers
+    term = 3 ** (r + 1) * math.comb(n, r)  # 0 while n < r
+    while True:
+        yield vol
+        vol = (vol << 2) - term
+        n += 1
+        if n > r:
+            term = term * n // (n - r)
+        elif n == r:
+            term = 3 ** (r + 1)
+
+
+def sphere_volumes(t, start=0):
+    """Yield (n, V(n, min(t, n)), V(n, min(2t, n))) for n = start, start+1,
+    ... -- the packing and covering volumes of every block size, exact."""
+    return zip(itertools.count(start), volume_scan(t, start),
+               volume_scan(2 * t, start))
+
+
+def bound_rows(l, t, max_n):
+    """Yield (n, V(n, min(t, n)), hamming, gv_codewords) for n = l..max_n:
+    the per-n table of both bounds, exact and equal to ``hamming_holds(n,
+    l, min(t, n))`` and ``gv_guaranteed_codewords(n, t)``."""
+    _check_nonneg(l=l, t=t, max_n=max_n)
+    for n, vol, vol2 in itertools.islice(sphere_volumes(t, l),
+                                         max(max_n - l + 1, 0)):
+        # ceil(2^n / V(n, min(2t, n))), which is 1 for 2t > n: V = 4^n
+        yield n, vol, vol << l <= 1 << n, -((1 << n) // -vol2)
+
+
 def min_n_hamming(l, t):
     """Smallest block size the packing bound allows for (l, t)."""
     _check_nonneg(l=l, t=t)
-    n = max(l, t)
-    while not hamming_holds(n, l, t):
-        n += 1
-    return n
+    # 2^l V <= 2^n  <=>  V - 1 < 2^(n-l), read off the bit length
+    for n, vol in enumerate(volume_scan(t, max(l, t)), max(l, t)):
+        if (vol - 1).bit_length() <= n - l:
+            return n
 
 
 def gv_guaranteed_codewords(n, t):
@@ -82,10 +131,10 @@ def min_n_gv(l, t):
     """Smallest block size at which the covering guarantee reaches 2^l
     codewords -- i.e. a code with l logical qubits provably exists."""
     _check_nonneg(l=l, t=t)
-    n = max(l, t)
-    while gv_guaranteed_codewords(n, t) < (1 << l):
-        n += 1
-    return n
+    # ceil(2^n / V) >= 2^l  <=>  (2^l - 1) V < 2^n, with no division
+    for n, vol in enumerate(volume_scan(2 * t, max(l, t)), max(l, t)):
+        if ((vol << l) - vol).bit_length() <= n:
+            return n
 
 
 def gv_inequality_holds(n, l, t):

@@ -30,8 +30,7 @@ import sys
 import numpy as np
 
 from .bitstrings import BitString
-from .bounds import (gv_guaranteed_codewords, hamming_holds, min_n_gv,
-                     min_n_hamming, sphere_volume)
+from .bounds import bound_rows, min_n_gv, min_n_hamming
 from .channels import apply_channel, make_decoherence
 from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     encode, load_code, run_checker)
@@ -40,6 +39,10 @@ from .experiment import (SUCCESS_FIDELITY, BadInput, ExperimentConfig,
                          records_to_csv, run_experiment)
 from .rng import trial_generator
 from .statespace import PureState
+
+#: Most rows a ``bounds`` table may hold. Every row is built before the
+#: first is printed, and its integers grow like 4^n.
+BOUNDS_MAX_ROWS = 10000
 
 
 # -- output plumbing --------------------------------------------------------------
@@ -81,31 +84,36 @@ def cmd_bounds(args):
     max_n = args.max_n if args.max_n is not None else max(l, t, 1) + 11
     if max_n < l:
         raise BadInput("max-n %d is below l = %d" % (max_n, l))
-    rows = []
-    for n in range(l, max_n + 1):
-        row_t = min(t, n)
-        vol = sphere_volume(n, row_t)
-        rows.append({
-            "n": n, "l": l, "t": t,
-            "sphere_volume": vol,
-            "hamming": hamming_holds(n, l, row_t),
-            "gv_codewords": gv_guaranteed_codewords(n, t),
-            "gv_ok": gv_guaranteed_codewords(n, t) >= (1 << l),
-        })
+    if max_n - l + 1 > BOUNDS_MAX_ROWS:
+        raise BadInput("a table of %d rows exceeds the cap of %d rows"
+                       % (max_n - l + 1, BOUNDS_MAX_ROWS))
+    rows = [{"n": n, "l": l, "t": t, "sphere_volume": vol,
+             "hamming": hamming, "gv_codewords": gv, "gv_ok": gv >= 1 << l}
+            for n, vol, hamming, gv in bound_rows(l, t, max_n)]
     summary = {"min_n_hamming": min_n_hamming(l, t), "min_n_gv": min_n_gv(l, t)}
-    if args.format == "json":  # default csv
-        _emit(_json_text({"rows": rows, **summary}), args.out)
-    else:
-        lines = ["n,l,t,sphere_volume,hamming,gv_codewords,gv_ok"]
-        for r in rows:
-            lines.append("%d,%d,%d,%d,%s,%d,%s" % (
-                r["n"], r["l"], r["t"], r["sphere_volume"],
-                "true" if r["hamming"] else "false", r["gv_codewords"],
-                "true" if r["gv_ok"] else "false"))
-        lines.append("min_n_hamming,%d" % summary["min_n_hamming"])
-        lines.append("min_n_gv,%d" % summary["min_n_gv"])
-        _emit("\n".join(lines) + "\n", args.out)
+    try:  # the whole text, before anything is written
+        text = _bounds_text(rows, summary, args.format)
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise BadInput("the bounds table holds an integer of more than %d "
+                       "decimal digits, Python's limit for printing one "
+                       "(PYTHONINTMAXSTRDIGITS raises it)"
+                       % sys.get_int_max_str_digits())
+    _emit(text, args.out)
     return 0
+
+
+def _bounds_text(rows, summary, fmt):
+    if fmt == "json":  # default csv
+        return _json_text({"rows": rows, **summary})
+    lines = ["n,l,t,sphere_volume,hamming,gv_codewords,gv_ok"]
+    for r in rows:
+        lines.append("%d,%d,%d,%d,%s,%d,%s" % (
+            r["n"], r["l"], r["t"], r["sphere_volume"],
+            "true" if r["hamming"] else "false", r["gv_codewords"],
+            "true" if r["gv_ok"] else "false"))
+    lines.append("min_n_hamming,%d" % summary["min_n_hamming"])
+    lines.append("min_n_gv,%d" % summary["min_n_gv"])
+    return "\n".join(lines) + "\n"
 
 
 def _format_state(state, limit=32):

@@ -63,6 +63,9 @@ SUCCESS_FIDELITY = 1.0 - 1e-8
 
 CSV_HEADER = "trial,activated,syndrome,fidelity,disentangled,corrected"
 
+#: the two-sided 95% normal quantile of the summary's Wilson interval
+WILSON_Z95 = 1.959963984540054
+
 #: --max-active runs are refused when the cap holds with less than this
 #: probability: each trial redraws its activations until the cap holds, so
 #: it would take about 1/probability draws.
@@ -389,6 +392,17 @@ def analytic_success_bound(k, t, p, max_active=None):
     return num / denom if denom > 0.0 else 1.0
 
 
+def wilson_interval(successes, trials, z=WILSON_Z95):
+    """Wilson score interval [lo, hi] for a binomial success rate; lo is
+    exactly 0 with no successes and hi exactly 1 with no failures."""
+    z2 = z * z
+    center = (successes + z2 / 2.0) / (trials + z2)
+    half = (z * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)
+            / (trials + z2))
+    return [0.0 if successes == 0 else center - half,
+            1.0 if successes == trials else center + half]
+
+
 def _openblas_thread_controls():
     """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
     or None when that library or its controls cannot be found."""
@@ -479,6 +493,7 @@ def _summary(ctx, records, walks):
             "trials": trials,
             "success_count": successes,
             "success_rate": successes / trials,
+            "success_rate_wilson95": wilson_interval(successes, trials),
             "corrected_count": corrected,
             "mean_fidelity": math.fsum(r["fidelity"] for r in records)
                              / trials,

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qeclab
-from qeclab import experiment
+from qeclab import cli, experiment
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
 
@@ -96,6 +96,83 @@ def test_bounds_rejects_negative_parameters():
     assert rc == 2
     rc, out, err = run(["bounds", "--l", "1", "--t", "1", "--max-n", "0"])
     assert rc == 2
+
+
+# sha256 of the CSV and the JSON for (l, t, max-n) over (50, 100), t > l,
+# l = 0, t = 0 and a max-n below t, so that rows with t > n and 2t > n
+# appear; a change here is a change to the bounds output and must be
+# announced
+@pytest.mark.parametrize("l, t, max_n, csv_digest, json_digest", [
+    ("50", "100", None,
+     "021e9c699d00b7682d9dbe67d64abab9d3e78a849fdc6a4d942790e260d859a5",
+     "7a02ccd56d6f4d8a53338a430f3df56f2ecd87ca20c1fd5ccb935920f3cbd3e3"),
+    ("1", "1", None,
+     "26ea4c906099171c479b78a64a07b890f0df28398136e1e3b1a1024829ece789",
+     "79c870dab0bd0edd23a4ca69243e39a6fc72e947c5df83ca2d137303663c0b7a"),
+    ("2", "5", None,
+     "4f7e8b539580b677a6e57be5a16fd7a4015d1c3716a7990c7b289e9e2bff79da",
+     "6635b4758ab59f90defc356d60f5e8e879e010281336ab854f3151d747327e2f"),
+    ("0", "3", None,
+     "1cba006d2af18c1354add20e08d8c61752d2331cc8f71e76884dd0ee8093eb45",
+     "a13bb461afeed27936fad6bbd6339c66f4ac643441f5eced40ba28d8d4bc30d0"),
+    ("0", "0", None,
+     "02c7ccb1a936d1db7aee559ad3933256f203e8d0a6a69bff52be4e0691f0a561",
+     "bfdcda08bf18e63afd04c65d1bb24c995bf1dc5ee5ac29cae630b9139fe903e7"),
+    ("4", "0", None,
+     "f03384c8d021f93d9523ac675418c4c34a1475144a12e8c7361baeb6731e9d98",
+     "c2c28dccbc12e326911fd110fb06de1d14842abddaa0cf3bcce1f4022b4ffef4"),
+    ("1", "6", "8",
+     "056761697a71f5336fd066ad13df536f333706228edca570c5a3a5e46edae8ff",
+     "52d3c8861d65d3686cbc280f4e5fa335d206fa3dcaa10aed6d8d4e6d4bb72213"),
+    ("3", "2", "40",
+     "4156b56e67a280c41dd1de1a572f6567d1110b8302dda097593c5fb7f2273b22",
+     "28b935d52c3b1d7d9c9552ba4fb1171a62d24994cc379497aa1c951487cfe356"),
+    ("0", "1", "0",
+     "7ae897bb4387e1ef06faa998f2837b1076c8abadb1433a3b8d40accb1ca2fba4",
+     "8839742e5a021d32f90f6c83f48c55d58af2d0b4c6f4f01cc64b1623a6661d9c"),
+])
+def test_bounds_output_is_pinned(l, t, max_n, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        argv = ["bounds", "--l", l, "--t", t, "--format", fmt]
+        if max_n is not None:
+            argv += ["--max-n", max_n]
+        rc, out, err = run(argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_refuses_an_unprintable_integer(tmp_path, fmt):
+    # gv_codewords(15000, 0) = 2^15000 has 4516 decimal digits
+    argv = ["bounds", "--l", "15000", "--t", "0", "--max-n", "15000",
+            "--format", fmt]
+    rc, out, err = run(argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "decimal digits" in err
+    target = tmp_path / "bounds.out"
+    rc, out, err = run(argv + ["--out", str(target)])
+    assert rc == 2
+    assert out == "" and not target.exists()
+
+
+def test_bounds_refuses_a_table_over_the_row_cap():
+    # in a child process, so that building every row first fails the test
+    # at its timeout instead of hanging the suite
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qeclab", "bounds", "--l", "0", "--t", "0",
+         "--max-n", "100000000"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert ("error: a table of 100000001 rows exceeds the cap of %d rows"
+            % cli.BOUNDS_MAX_ROWS) in proc.stderr
+    rc, out, err = run(["bounds", "--l", "0", "--t", "0", "--max-n",
+                        str(cli.BOUNDS_MAX_ROWS - 1)])
+    assert rc == 0
+    assert len(out.splitlines()) == cli.BOUNDS_MAX_ROWS + 3
 
 
 # -- demo3 ----------------------------------------------------------------------

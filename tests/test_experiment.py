@@ -13,9 +13,10 @@ from qeclab.channels import (QubitChannel, channel_to_dict, make_decoherence,
 from qeclab.cli import main
 from qeclab.codes import load_code
 from qeclab.decoder import build_syndrome_table
-from qeclab.experiment import (BLOCK_AMPLITUDES, ExperimentConfig,
-                               analytic_success_bound, records_to_csv,
-                               run_experiment)
+from qeclab.experiment import (BLOCK_AMPLITUDES, WILSON_Z95,
+                               ExperimentConfig, analytic_success_bound,
+                               records_to_csv, run_experiment,
+                               wilson_interval)
 from qeclab.rng import Prefetched
 
 SHOR9 = dict(code="shor9", channel="random:2", max_active=2, p=0.2, seed=7)
@@ -72,6 +73,9 @@ def test_summary_explains_the_run(tmp_path):
         (res["success_rate"] - bound) / sigma, rel=1e-12)
     # the exhaustive walk over 28 subspaces measures between 1 and 28 times
     assert 1 <= res["mean_measurements"] <= res["max_measurements"] <= 28
+    lo, hi = res["success_rate_wilson95"]
+    assert [lo, hi] == wilson_interval(res["success_count"], 120)
+    assert 0.0 < lo < res["success_rate"] < hi < 1.0
 
 
 def test_summary_margin_is_null_when_the_bound_is_certain():
@@ -82,6 +86,31 @@ def test_summary_margin_is_null_when_the_bound_is_certain():
     assert res["bound_margin_sigma"] is None
     assert res["syndrome_histogram"] == {"A(0)P(0)": 3}
     assert res["mean_measurements"] == res["max_measurements"] == 1
+    assert res["success_rate_wilson95"][1] == 1.0
+
+
+def _wilson_closed_form(successes, trials, z=WILSON_Z95):
+    # the textbook form, centred on the observed rate
+    p, z2 = successes / trials, z * z
+    centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
+    half = (z / (1 + z2 / trials)
+            * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials ** 2)))
+    return centre - half, centre + half
+
+
+def test_wilson_interval_ends_and_interior():
+    z2 = WILSON_Z95 ** 2
+    lo, hi = wilson_interval(0, 50)
+    assert lo == 0.0
+    assert hi == pytest.approx(z2 / (50 + z2), rel=1e-12)
+    lo, hi = wilson_interval(50, 50)
+    assert hi == 1.0
+    assert lo == pytest.approx(50 / (50 + z2), rel=1e-12)
+    lo, hi = wilson_interval(37, 120)
+    want_lo, want_hi = _wilson_closed_form(37, 120)
+    assert lo == pytest.approx(want_lo, rel=1e-12)
+    assert hi == pytest.approx(want_hi, rel=1e-12)
+    assert lo < 37 / 120 < hi
 
 
 def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
