@@ -34,7 +34,7 @@ from .bounds import (BoundQuery, asymptotic_gv_rate, asymptotic_hamming_rate,
                      bound_rows, entropy, finite_hamming_rate,
                      gv_guaranteed_codewords, gv_inequality_holds,
                      hamming_holds, hamming_rate_root, min_n_gv,
-                     min_n_hamming, sphere_volume, sphere_volumes)
+                     min_n_hamming, sphere_volume)
 from .rng import trial_generator
 
 __version__ = "0.1.0"

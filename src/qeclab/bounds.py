@@ -20,7 +20,7 @@ upward at a fixed radius r with O(1) big-integer operations per step,
 (Pascal's rule summed over i <= r). While n < r, C(n, r) = 0 and the
 volume is the full 4^n = V(n, n), so one scan also covers the rows with
 r > n. ``min_n_hamming`` and ``min_n_gv`` scan radius t and 2t, and
-``sphere_volumes`` pairs the two for the CLI's per-n table; the per-n
+``bound_rows`` pairs the two for the CLI's per-n table; the per-n
 definitions above serve as their test oracle.
 
 The asymptotic rate forms (n -> infinity at fixed tau = t/n) are
@@ -33,7 +33,6 @@ with H the binary entropy, H(0) = H(1) = 0 by continuity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -66,7 +65,7 @@ def hamming_holds(n, l, t):
     return (1 << l) * sphere_volume(n, t) <= (1 << n)
 
 
-def volume_scan(r, start=0):
+def volume_scan(r, start):
     """Yield V(n, min(r, n)) for n = start, start+1, ..., exact, by the
     recurrence above."""
     _check_nonneg(r=r, start=start)
@@ -85,20 +84,13 @@ def volume_scan(r, start=0):
             term = 3 ** (r + 1)
 
 
-def sphere_volumes(t, start=0):
-    """Yield (n, V(n, min(t, n)), V(n, min(2t, n))) for n = start, start+1,
-    ... -- the packing and covering volumes of every block size, exact."""
-    return zip(itertools.count(start), volume_scan(t, start),
-               volume_scan(2 * t, start))
-
-
 def bound_rows(l, t, max_n):
     """Yield (n, V(n, min(t, n)), hamming, gv_codewords) for n = l..max_n:
     the per-n table of both bounds, exact and equal to ``hamming_holds(n,
     l, min(t, n))`` and ``gv_guaranteed_codewords(n, t)``."""
     _check_nonneg(l=l, t=t, max_n=max_n)
-    for n, vol, vol2 in itertools.islice(sphere_volumes(t, l),
-                                         max(max_n - l + 1, 0)):
+    for n, vol, vol2 in zip(range(l, max_n + 1), volume_scan(t, l),
+                            volume_scan(2 * t, l)):
         # ceil(2^n / V(n, min(2t, n))), which is 1 for 2t > n: V = 4^n
         yield n, vol, vol << l <= 1 << n, -((1 << n) // -vol2)
 

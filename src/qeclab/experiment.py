@@ -392,9 +392,10 @@ def analytic_success_bound(k, t, p, max_active=None):
     return num / denom if denom > 0.0 else 1.0
 
 
-def wilson_interval(successes, trials, z=WILSON_Z95):
-    """Wilson score interval [lo, hi] for a binomial success rate; lo is
-    exactly 0 with no successes and hi exactly 1 with no failures."""
+def wilson_interval(successes, trials):
+    """95% Wilson score interval [lo, hi] for a binomial success rate; lo
+    is exactly 0 with no successes and hi exactly 1 with no failures."""
+    z = WILSON_Z95
     z2 = z * z
     center = (successes + z2 / 2.0) / (trials + z2)
     half = (z * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)

@@ -89,8 +89,9 @@ def test_summary_margin_is_null_when_the_bound_is_certain():
     assert res["success_rate_wilson95"][1] == 1.0
 
 
-def _wilson_closed_form(successes, trials, z=WILSON_Z95):
+def _wilson_closed_form(successes, trials):
     # the textbook form, centred on the observed rate
+    z = WILSON_Z95
     p, z2 = successes / trials, z * z
     centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
     half = (z / (1 + z2 / trials)
