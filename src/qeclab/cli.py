@@ -44,6 +44,12 @@ from .statespace import PureState
 #: first is printed, and its integers grow like 4^n.
 BOUNDS_MAX_ROWS = 10000
 
+#: Largest l or t a ``bounds`` query may ask for. The summary scans walk n
+#: from max(l, t) to about l + 10.5 t, at integers of about n bits, so their
+#: cost grows as the square of l and t; at this cap every accepted query,
+#: the largest table included, takes about 2 s or less.
+BOUNDS_MAX_LT = 2000
+
 
 # -- output plumbing --------------------------------------------------------------
 
@@ -81,6 +87,9 @@ def cmd_bounds(args):
     l, t = args.l, args.t
     if l < 0 or t < 0:
         raise BadInput("l and t must be nonnegative")
+    if max(l, t) > BOUNDS_MAX_LT:
+        raise BadInput("l = %d and t = %d: both must be at most %d"
+                       % (l, t, BOUNDS_MAX_LT))
     max_n = args.max_n if args.max_n is not None else max(l, t, 1) + 11
     if max_n < l:
         raise BadInput("max-n %d is below l = %d" % (max_n, l))

@@ -176,67 +176,158 @@ def _complement(table, M, coeff):
     return vec
 
 
-def _outcome(u, mass_in, mass_out):
-    """One ideal binary measurement between a union holding mass_in and the
-    rest of the mass not yet ruled out, mass_out: the single uniform deviate
-    u is thresholded at the conditional probability. A side whose conditional
-    probability falls below the zero threshold counts as exactly 0 (it has
-    no collapsed state), forcing the other outcome. Returns (outcome,
-    whether that rule overrode the outcome the deviate gave)."""
+def sample_walks(table, P, p_none, U, dyadic):
+    """Sample the measurement walks of a stack of states at once.
+
+    P (g, N) holds each state's syndrome probabilities, p_none (g,) its
+    complement's mass and U (g, N) its uniform deviates, the k-th
+    measurement of walk j taking U[j, k]. Returns integer arrays (index,
+    measurements, forced): the subspace that answered (N: the complement),
+    the number of binary measurements, and the number of outcomes the zero
+    threshold forced against the deviate. Walk j is sample_walk's walk on
+    row j, bit for bit.
+    """
+    return _walks(table, P, p_none,
+                  lambda step, width, rows: U[rows, step:step + width],
+                  dyadic, lookahead=True)
+
+
+def _measure_unions(u, mass_in, mass_out):
+    """Binary measurements of unions holding mass_in against the rest of
+    the mass not yet ruled out, mass_out: (outcomes, whether the zero
+    threshold overrode the outcome the deviate gave). Each deviate u is
+    thresholded at its union's conditional probability; a side whose
+    conditional probability falls below the zero threshold counts as
+    exactly 0 (it has no collapsed state), forcing the other outcome."""
     rem = mass_in + mass_out
     prob = mass_in / rem
-    drawn = outcome = u < prob
-    if outcome and prob < TOL_ZERO:
-        outcome = False
-    if not outcome and mass_out < TOL_ZERO * rem:
-        outcome = True
+    drawn = u < prob
+    outcome = (drawn & ~(prob < TOL_ZERO)) | (mass_out < TOL_ZERO * rem)
     return outcome, outcome != drawn
 
 
+def _walks(table, P, p_none, uniforms, dyadic, lookahead=False,
+           steps=None):
+    """The measurement walks of P's rows, advanced together round by round:
+    uniforms(step, width, rows) gives, for the given walks, the deviates of
+    their measurements step to step + width - 1 as a (rows, width) array.
+    A dyadic walk, or an exhaustive one without lookahead, makes one
+    measurement per round. steps, when a list, receives each round's
+    (lo, mid) of the first walk still going and the outcomes of all of
+    them, from which the one-walk case reads its trace.
+
+    Each step splits a walk's current block [lo, hi) at mid -- after its
+    first subspace, or for a dyadic walk after the largest power of two
+    below its size -- and measures the union [lo, mid). The mass not yet
+    ruled out is the block's, plus the complement's until an outcome 1
+    proves membership in the block. Both masses are left-to-right sums of
+    p, taken as masked cumulative sums, which add in order whatever the
+    interpreter's float sum() does.
+    """
+    g, n = P.shape
+    index = np.full(g, n, dtype=np.intp)
+    measurements = np.full(g, n, dtype=np.intp)
+    forced = np.zeros(g, dtype=np.intp)
+    # the complement's mass is column n: it belongs to a walk's block, as
+    # its last column, until an outcome 1 proves membership in the block's
+    # subspaces
+    mass = np.concatenate([P, p_none[:, np.newaxis]], axis=1)
+    rows = np.arange(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not dyadic:
+            # every walking block is [step, n + 1), so each step's masses
+            # are known before the walk gets there: with lookahead a round
+            # decides the next `width` steps at once, doubling width from
+            # round to round. Outcome 1 ends a walk; a walk that rules out
+            # all n subspaces ends in the complement after n measurements.
+            step, width = 0, 1
+            while len(rows) and step < n:
+                width = min(width, n - step)
+                m = mass[rows, step:]
+                # tail[:, k] keeps the columns after the (step + k)-th
+                tail = np.where(np.arange(n + 1 - step)
+                                > np.arange(width)[:, np.newaxis],
+                                m[:, np.newaxis], 0.0)
+                outcome, overridden = _measure_unions(
+                    uniforms(step, width, rows), m[:, :width],
+                    np.cumsum(tail, axis=2)[:, :, -1])
+                hit = outcome.any(axis=1)
+                taken = np.where(hit, outcome.argmax(axis=1) + 1, width)
+                forced[rows] += np.count_nonzero(
+                    overridden & (np.arange(width) < taken[:, np.newaxis]),
+                    axis=1)
+                if steps is not None:
+                    steps.append((step, step + 1, outcome[:, 0]))
+                index[rows[hit]] = step + taken[hit] - 1
+                measurements[rows[hit]] = step + taken[hit]
+                rows = rows[~hit]
+                step += width
+                if lookahead:
+                    width *= 2
+            return index, measurements, forced
+        cols = np.arange(n + 1)
+        # halves[s]: the size of the union measured in s subspaces
+        halves = 1 << (np.frexp(np.maximum(np.arange(n + 1) - 1, 1))[1] - 1)
+        lo = np.zeros(g, dtype=np.intp)
+        # a complete table's upfront guarantee of membership saves the
+        # walk its last measurement
+        hi = np.full(g, n if table.is_complete else n + 1)
+        step = 0
+        while True:
+            # a walk is over once its block holds one column
+            over = hi - lo == 1
+            if over.any():
+                index[rows[over]] = lo[over]
+                measurements[rows[over]] = step
+                going = ~over
+                rows, lo, hi = rows[going], lo[going], hi[going]
+                if not len(rows):
+                    return index, measurements, forced
+            mid = lo + halves[np.minimum(hi, n) - lo]
+            m = mass[rows]
+            at = np.arange(len(rows))
+            outcome, overridden = _measure_unions(
+                uniforms(step, 1, rows)[:, 0],
+                np.cumsum(np.where(cols >= lo[:, np.newaxis], m, 0.0),
+                          axis=1)[at, mid - 1],
+                np.cumsum(np.where(cols >= mid[:, np.newaxis], m, 0.0),
+                          axis=1)[at, hi - 1])
+            forced[rows] += overridden
+            if steps is not None:
+                steps.append((lo[0], mid[0], outcome))
+            lo = np.where(outcome, lo, mid)
+            hi = np.where(outcome, mid, hi)
+            step += 1
+
+
 def sample_walk(table, p, p_none, randomness, dyadic):
-    """Sample a measurement walk from the syndrome probabilities p (a list)
-    and the complement's mass p_none: returns (answering subspace index or
-    None for the complement, outcome trace, number of outcomes the zero
+    """Sample a measurement walk from the syndrome probabilities p and the
+    complement's mass p_none: returns (answering subspace index or None
+    for the complement, outcome trace, number of outcomes the zero
     threshold forced against the deviate).
 
-    Each step splits the current block [lo, hi) at mid -- after its first
-    subspace, or for a dyadic walk after the largest power of two below its
-    size -- and measures the union [lo, mid). The mass not yet ruled out is
-    the block's, plus the complement's until an outcome 1 proves membership
-    in the block.
+    The one-walk case of sample_walks, drawing one deviate per measurement
+    from randomness.random() as the measurement comes.
     """
+    steps = []
+    index, _, forced = _walks(
+        table, np.asarray(p, dtype=np.float64)[np.newaxis],
+        np.array([p_none], dtype=np.float64),
+        lambda step, width, rows: np.array([[randomness.random()]]), dyadic,
+        steps=steps)
     trace = []
-    forced = 0
-    lo, hi = 0, len(p)
-    # is membership in [lo, hi) already proven? Only the dyadic walk uses a
-    # complete table's upfront guarantee to skip its last measurement.
-    inside = dyadic and table.is_complete
-    while lo < hi:
-        size = hi - lo
-        if size == 1 and inside:
-            return lo, trace, forced
-        half = 1
-        if dyadic and size > 1:
-            half = 1 << ((size - 1).bit_length() - 1)
-        mid = lo + half
-        outcome, overridden = _outcome(
-            randomness.random(), sum(p[lo:mid]),
-            sum(p[mid:hi]) + (0.0 if inside else p_none))
-        forced += overridden
-        label = table.labels[lo] if half == 1 else "U[%d..%d]" % (lo, mid - 1)
-        trace.append((label, int(outcome)))
-        if outcome:
-            hi = mid
-            inside = True
-        else:
-            lo = mid
-    return None, trace, forced
+    for lo, mid, outcome in steps:
+        lo, mid = int(lo), int(mid)
+        label = table.labels[lo] if mid - lo == 1 else "U[%d..%d]" % (
+            lo, mid - 1)
+        trace.append((label, int(outcome[0])))
+    i = int(index[0])
+    return None if i == len(p) else i, trace, int(forced[0])
 
 
 def _measure(state, table, randomness, dyadic):
     M, coeff, p, p_none = _coordinates(state, table)
-    i, trace, _ = sample_walk(table, p.tolist(), p_none, randomness,
-                               dyadic)
+    i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
     return (_collapse(state, table, M, coeff, p, i),
             None if i is None else table.patterns[i], trace)
 
@@ -407,8 +498,7 @@ def correct(state, code, t, strategy, randomness, reference,
         raise ValueError("qubit count mismatch: %d vs %d"
                          % (reference.qubit_count, state.qubit_count))
     M, coeff, p, p_none = _coordinates(state, table)
-    i, trace, _ = sample_walk(table, p.tolist(), p_none, randomness,
-                               dyadic)
+    i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
     ref = reference.amps.reshape(1, -1)
     if i is None:
         recovered, fidelity, max_schmidt = verify_complement(table, M, coeff,

@@ -19,22 +19,28 @@ joint amplitudes, each block in three phases:
    re-key: activation (redrawn while it exceeds --max-active), then one
    standard-normal draw holding the channel parameters and the logical
    state, then uniform deviates for the measurement walk, as many as the
-   walk can take (one per syndrome subspace);
+   walk can take (one per syndrome subspace). A clean trial (no activated
+   qubit) skips the deviates, which end its stream;
 2. propagate -- trials that activated the same qubits form a group: the
    group's logical states are normalized and encoded as one stack, its
    random channels are orthonormalized as one stack, each activated
    qubit's channel is applied to the whole stack, and one product takes
    every trial's syndrome coordinates;
-3. decode -- trial by trial, in trial order, the measurement walk consumes
-   the trial's prefetched deviates, and the outcome is verified on its
-   small syndrome block.
+3. decode -- one array walk (decoder.sample_walks) advances every trial's
+   measurement walk on its prefetched deviates, round by round, and each
+   group's outcomes are verified on their small syndrome blocks. A walk's masses are left-to-right sums, taken as masked
+   cumulative sums, so no interpreter's float sum() enters them. A clean
+   trial walks on the largest deviate below 1, which keeps its result
+   exactly when every step is certain (_ExperimentContext.walk); any other
+   clean trial re-keys, draws its deviates and walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
 
 Batching leaves every trial's results unchanged: each product in phase 2 is
-a fixed-shape product per trial, which numpy loops over the stack, so no
-trial's numbers depend on the block, the group or the worker that ran it.
+a fixed-shape product per trial, which numpy loops over the stack, and the
+walk's sums and thresholds are taken row by row, so no trial's numbers
+depend on the block, the group or the worker that ran it.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ from .channels import (entangle_stack, gaussian_blocks, load_channel,
                        make_decoherence, orthonormalize_blocks, validate)
 from .codes import encode_stack, load_code
 from .decoder import (DYADIC, PATTERN_FILTERS, build_syndrome_table,
-                      sample_walk, stack_coordinates, verify_blocks,
+                      sample_walks, stack_coordinates, verify_blocks,
                       verify_complement)
-from .rng import Prefetched, TrialStreams
+from .rng import TrialStreams
 from .statespace import DIM_CAP, TOL_NORM
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
@@ -70,6 +76,11 @@ WILSON_Z95 = 1.959963984540054
 #: probability: each trial redraws its activations until the cap holds, so
 #: it would take about 1/probability draws.
 MIN_ACCEPTANCE = 1e-6
+
+#: the largest uniform deviate below 1, the placeholder of the walk deviates
+#: a clean trial skips drawing: with it a binary measurement draws outcome 1
+#: exactly when the outcome is certain (see _ExperimentContext.walk)
+CERTAIN_DEVIATE = float(np.nextafter(1.0, 0.0))
 
 #: a block of trials holds at most this many joint amplitudes per stacked
 #: array (states, syndrome coordinates), so its trial count is this over the
@@ -236,9 +247,9 @@ class _ExperimentContext:
         self.streams = TrialStreams()
 
     def draw(self, trial):
-        """Phase 1 of one trial: (activated qubits, the trial's standard
-        normals or None when it needs none, its walk's uniform deviates).
-        """
+        """Phase 1 of one trial up to its walk: (its generator, positioned at
+        the walk's uniform deviates, activated qubits, the trial's standard
+        normals or None when it needs none)."""
         cfg = self.config
         rng = self.streams.rekey(cfg.seed, trial)
         # draw order is part of the reproducibility contract:
@@ -250,18 +261,18 @@ class _ExperimentContext:
         activated = tuple(q for q, hit in zip(self.eligible, hits) if hit)
         count = self.channel_normals * len(activated) + self.logical_normals
         normals = rng.standard_normal(count) if count else None
-        # a walk measures at most once per subspace
-        return activated, normals, rng.random(len(self.table))
+        return rng, activated, normals
 
-    def propagate(self, activated, draws):
-        """Phase 2 of a group of trials that all activated `activated`:
-        (encoded reference blocks (g, 2^n), joint state matrices
-        (g, 2^n, d_E^m), and their syndrome coordinates coeff, p, p_none).
+    def propagate(self, activated, normals):
+        """Phase 2 of a group of trials that all activated `activated`, whose
+        standard normals are `normals`: (encoded reference blocks (g, 2^n),
+        joint state matrices (g, 2^n, d_E^m), and their syndrome coordinates
+        coeff, p, p_none).
         """
-        g = len(draws)
+        g = len(normals)
         split = self.channel_normals * len(activated)
         if split or self.fixed_logical is None:
-            normals = np.array([d[1] for d in draws])
+            normals = np.array(normals)
         if self.fixed_logical is None:
             half = 1 << self.code.l
             logical = (normals[:, split:split + half]
@@ -286,69 +297,92 @@ class _ExperimentContext:
         M = amps.reshape(g, 1 << self.code.n, -1)
         return (refs, M) + stack_coordinates(self.table, M)
 
-    def verify(self, answered, refs, M, coeff, p):
+    def walk(self, start, P, p_none, U, clean):
+        """Phase 3's measurement walks of trials start, start + 1, ...:
+        (index, measurements, forced) arrays, as decoder.sample_walks gives
+        them. Rows `clean` of U hold CERTAIN_DEVIATE in place of the
+        deviates their clean trials skipped drawing.
+
+        A walk whose every step has conditional probability exactly 1.0
+        takes outcome 1 at every step whatever its deviates: it ends in
+        subspace 0 and forces nothing. CERTAIN_DEVIATE draws outcome 1
+        exactly when outcome 1 is certain, so a clean walk on it ends in
+        subspace 0 with nothing forced exactly when every step was certain,
+        and then any deviates give its result. Any other clean trial
+        re-keys, draws its deviates and walks again.
+        """
+        index, measurements, forced = sample_walks(self.table, P, p_none, U,
+                                                   self.dyadic)
+        redo = clean[(index[clean] != 0) | (forced[clean] != 0)]
+        if len(redo):
+            for k in redo.tolist():
+                self.draw(start + k)[0].random(out=U[k])
+            index[redo], measurements[redo], forced[redo] = sample_walks(
+                self.table, P[redo], p_none[redo], U[redo], self.dyadic)
+        return index, measurements, forced
+
+    def verify(self, index, refs, M, coeff, p):
         """Phase 3's verification of a group: (fidelity, max Schmidt
-        coefficient) of each trial, whose walk ended in subspace
-        answered[j] (None: the complement). Identified outcomes are
-        verified as one stack."""
-        out = [None] * len(answered)
-        found = [j for j, i in enumerate(answered) if i is not None]
-        if found:
-            i = np.array([answered[j] for j in found])
+        coefficient) arrays, one entry per trial, whose walk ended in
+        subspace index[j] (len(table): the complement). Identified outcomes
+        are verified as one stack."""
+        fidelity, top = np.empty(len(index)), np.empty(len(index))
+        found = np.flatnonzero(index < len(self.table))
+        if len(found):
+            i = index[found]
             rows = (self.table.offsets[i][:, np.newaxis]
                     + np.arange(1 << self.code.l))
-            _, fidelity, top = verify_blocks(
-                self.table, coeff[np.array(found)[:, np.newaxis], rows],
-                p[found, i], refs[found])
-            for j, f, s in zip(found, fidelity.tolist(), top.tolist()):
-                out[j] = f, s
-        for j, i in enumerate(answered):
-            if i is None:
-                out[j] = verify_complement(self.table, M[j], coeff[j],
-                                           refs[j])[1:]
-        return out
+            _, fidelity[found], top[found] = verify_blocks(
+                self.table, coeff[found[:, np.newaxis], rows], p[found, i],
+                refs[found])
+        for j in np.flatnonzero(index == len(self.table)).tolist():
+            _, fidelity[j], top[j] = verify_complement(self.table, M[j],
+                                                       coeff[j], refs[j])
+        return fidelity, top
 
     def run_block(self, start, stop):
-        """Records of trials [start, stop), and (measurements, forced
-        outcomes) of each trial's walk."""
-        draws = [self.draw(trial) for trial in range(start, stop)]
+        """Records of trials [start, stop), and the (measurements, forced
+        outcomes) of their walks as a (2, stop - start) array."""
+        b = stop - start
+        U = np.full((b, len(self.table)), CERTAIN_DEVIATE)
         groups = collections.defaultdict(list)
-        for k, d in enumerate(draws):
-            groups[d[0]].append(k)
-        stacks = [(members,) + self.propagate(activated,
-                                              [draws[k] for k in members])
-                  for activated, members in groups.items()]
-        probabilities = [None] * len(draws)
-        for members, _, _, _, p, p_none in stacks:
-            for k, row, rest in zip(members, p.tolist(), p_none.tolist()):
-                probabilities[k] = row, rest
-        # phase 3: every trial walks on its own deviates, in trial order
-        answered, walks = [], []
-        for d, (p, p_none) in zip(draws, probabilities):
-            i, trace, forced = sample_walk(self.table, p, p_none,
-                                           Prefetched(d[2]), self.dyadic)
-            answered.append(i)
-            walks.append((len(trace), forced))
-        verdicts = [None] * len(draws)
-        for members, refs, M, coeff, p, _ in stacks:
-            got = self.verify([answered[k] for k in members], refs, M,
-                              coeff, p)
-            for k, verdict in zip(members, got):
-                verdicts[k] = verdict
-        records = []
-        for k, (d, i, (fidelity, max_schmidt)) in enumerate(
-                zip(draws, answered, verdicts)):
-            if not -TOL_NORM <= fidelity <= 1.0 + TOL_NORM:
-                raise AssertionError("fidelity %r out of range" % fidelity)
-            records.append({
-                "trial": start + k,
-                "activated": "+".join(str(q) for q in d[0]),
-                "syndrome": "none" if i is None else self.table.texts[i],
-                "fidelity": fidelity,
-                "disentangled": max_schmidt >= 1.0 - TOL_NORM,
-                "corrected": i is not None,
-            })
-        return records, walks
+        layouts, normals = [], []
+        for k in range(b):
+            rng, activated, z = self.draw(start + k)
+            if activated:  # a clean trial's deviates wait for the walk
+                rng.random(out=U[k])
+            groups[activated].append(k)
+            layouts.append(activated)
+            normals.append(z)
+        P = np.empty((b, len(self.table)))
+        p_none = np.empty(b)
+        stacks = []
+        for activated, members in groups.items():
+            refs, M, coeff, p, rest = self.propagate(
+                activated, [normals[k] for k in members])
+            P[members], p_none[members] = p, rest
+            stacks.append((members, refs, M, coeff, p))
+        index, measurements, forced = self.walk(
+            start, P, p_none, U, np.array(groups.get((), []), dtype=np.intp))
+        fidelity, top = np.empty(b), np.empty(b)
+        for members, refs, M, coeff, p in stacks:
+            fidelity[members], top[members] = self.verify(
+                index[members], refs, M, coeff, p)
+        bad = ~((-TOL_NORM <= fidelity) & (fidelity <= 1.0 + TOL_NORM))
+        if bad.any():
+            raise AssertionError("fidelity %r out of range"
+                                 % float(fidelity[bad][0]))
+        names = {a: "+".join(str(q) for q in a) for a in groups}
+        outcomes = self.table.texts + ("none",)
+        records = [
+            {"trial": start + k, "activated": names[a],
+             "syndrome": outcomes[i], "fidelity": f, "disentangled": d,
+             "corrected": c}
+            for k, (a, i, f, d, c) in enumerate(zip(
+                layouts, index.tolist(), fidelity.tolist(),
+                (top >= 1.0 - TOL_NORM).tolist(),
+                (index < len(self.table)).tolist()))]
+        return records, np.stack([measurements, forced])
 
     def run_range(self, start, stop):
         """run_block's records and walk counts of trials [start, stop), one
@@ -357,8 +391,8 @@ class _ExperimentContext:
         for a in range(start, stop, self.block_trials):
             got = self.run_block(a, min(a + self.block_trials, stop))
             records += got[0]
-            walks += got[1]
-        return records, walks
+            walks.append(got[1])
+        return records, np.concatenate(walks, axis=1)
 
 
 #: the context of a forked pool worker, inherited from the parent process
@@ -471,7 +505,7 @@ def run_experiment(config, workers=1):
                     initargs=(ctx,)) as pool:
                 chunks = pool.starmap(_run_chunk, jobs)
             records = [rec for chunk, _ in chunks for rec in chunk]
-            walks = [w for _, chunk in chunks for w in chunk]
+            walks = np.concatenate([chunk for _, chunk in chunks], axis=1)
     return records, _summary(ctx, records, walks)
 
 
@@ -484,7 +518,7 @@ def _summary(ctx, records, walks):
     bound = analytic_success_bound(len(ctx.eligible), ctx.t, config.p,
                                    config.max_active)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
-    measurements = [m for m, _ in walks]
+    measurements, forced = walks
     return {
         "config": dict(config.as_dict(),
                        t=ctx.t,
@@ -502,11 +536,11 @@ def _summary(ctx, records, walks):
             # null when the bound is 0 or 1, where the binomial sigma is 0
             "bound_margin_sigma": ((successes / trials - bound) / sigma
                                    if sigma > 0.0 else None),
-            "mean_measurements": math.fsum(measurements) / trials,
-            "max_measurements": max(measurements),
+            "mean_measurements": int(measurements.sum()) / trials,
+            "max_measurements": int(measurements.max()),
             # measurements whose outcome the TOL_ZERO rule forced against
             # the deviate drawn for it
-            "forced_outcomes": sum(f for _, f in walks),
+            "forced_outcomes": int(forced.sum()),
             "syndrome_histogram": dict(collections.Counter(
                 r["syndrome"] for r in records)),
         },

@@ -58,11 +58,3 @@ class TrialStreams:
         self._bit_generator.state = self._state
         return self._generator
 
-
-class Prefetched:
-    """Uniform deviates drawn ahead of time, handed out in order, one per
-    random() call: a stand-in for the generator that drew them, for a
-    consumer that needs at most len(values) of them."""
-
-    def __init__(self, values):
-        self.random = iter(values.tolist()).__next__

@@ -143,17 +143,45 @@ def test_bounds_output_is_pinned(l, t, max_n, csv_digest, json_digest):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bounds_refuses_an_unprintable_integer(tmp_path, fmt):
-    # gv_codewords(15000, 0) = 2^15000 has 4516 decimal digits
-    argv = ["bounds", "--l", "15000", "--t", "0", "--max-n", "15000",
+    # under the l and t cap every integer prints at Python's default digit
+    # limit, so lower it to its floor of 640 digits, as PYTHONINTMAXSTRDIGITS
+    # may: gv_codewords(2200, 0) = 2^2200 has 663 decimal digits
+    argv = ["bounds", "--l", "2000", "--t", "0", "--max-n", "2200",
             "--format", fmt]
-    rc, out, err = run(argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ") and "decimal digits" in err
-    target = tmp_path / "bounds.out"
-    rc, out, err = run(argv + ["--out", str(target)])
-    assert rc == 2
-    assert out == "" and not target.exists()
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out, err = run(argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "decimal digits" in err
+        target = tmp_path / "bounds.out"
+        rc, out, err = run(argv + ["--out", str(target)])
+        assert rc == 2
+        assert out == "" and not target.exists()
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def test_bounds_refuses_l_or_t_over_the_cap():
+    # in a child process, so that scanning before the check fails the test
+    # at its timeout instead of hanging the suite
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    for l, t, max_n in [("0", "1000000", "0"), ("15000", "0", "15000"),
+                        ("0", str(cli.BOUNDS_MAX_LT + 1), "0")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeclab", "bounds", "--l", l, "--t", t,
+             "--max-n", max_n],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: l = %s and t = %s: both must be at "
+                               "most %d\n" % (l, t, cli.BOUNDS_MAX_LT))
+    cap = str(cli.BOUNDS_MAX_LT)
+    rc, out, err = run(["bounds", "--l", cap, "--t", cap, "--max-n", cap])
+    assert rc == 0
+    assert len(out.splitlines()) == 4  # header, one row, two summary lines
 
 
 def test_bounds_refuses_a_table_over_the_row_cap():

@@ -1,4 +1,5 @@
-"""Property tests of the syndrome-coordinate decoder against a dense oracle.
+"""Property tests of the syndrome-coordinate decoder against a dense oracle,
+and of the array measurement walk against a scalar one.
 
 The oracle rebuilds every syndrome subspace from its definition,
 span{A_a P_b |C^k>}, as a dense projector P_i = W_i^T conj(W_i) on the
@@ -6,6 +7,10 @@ qubit block. Extended by the identity on the environment factors,
 P_i (x) I_env acts on a state's system-by-environment matrix M as P_i @ M.
 Walk distributions follow by projecting the unnormalized state down the
 strategy's own measurement tree.
+
+The scalar walk measures one union at a time, summing its masses left to
+right in a Python loop; decoder.sample_walks must give every row's walk
+bit for bit, whatever else its stack holds.
 """
 
 import numpy as np
@@ -17,6 +22,8 @@ from qeclab import (apply_channel, apply_pattern, build_syndrome_table,
                     encode, load_code, measure_exhaustive,
                     measure_hierarchical, random_channel,
                     syndrome_distribution)
+from qeclab.decoder import sample_walk, sample_walks
+from qeclab.statespace import TOL_ZERO
 
 FILTERS = {"phase3": "phase-only", "shor9": "all", "perfect5": "all"}
 
@@ -162,3 +169,120 @@ def test_scripted_walks_collapse_onto_the_oracle_projection(tables, block,
         assert len(trace) == len(us)
         assert collapsed.layout == state.layout
         assert np.max(np.abs(collapsed.matrix() - expected)) <= 1e-10
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def scalar_walk(table, p, p_none, deviate, dyadic):
+    """(index or None, [(lo, mid, outcome)] per measurement, forced
+    outcomes) of one walk; deviate(k, prob) gives the deviate of its k-th
+    measurement, whose union has conditional probability prob."""
+    steps, forced = [], 0
+    lo, hi = 0, len(p)
+    inside = dyadic and table.is_complete
+    while lo < hi:
+        size = hi - lo
+        if size == 1 and inside:
+            return lo, steps, forced
+        half = 1
+        if dyadic and size > 1:
+            half = 1 << ((size - 1).bit_length() - 1)
+        mid = lo + half
+        mass_in = left_to_right(p[lo:mid])
+        mass_out = left_to_right(p[mid:hi]) + (0.0 if inside else p_none)
+        rem = mass_in + mass_out
+        prob = mass_in / rem
+        drawn = outcome = deviate(len(steps), prob) < prob
+        if outcome and prob < TOL_ZERO:
+            outcome = False
+        if not outcome and mass_out < TOL_ZERO * rem:
+            outcome = True
+        forced += outcome != drawn
+        steps.append((lo, mid, int(outcome)))
+        if outcome:
+            hi, inside = mid, True
+        else:
+            lo = mid
+    return None, steps, forced
+
+
+WALK_TABLES = {key: build_syndrome_table(load_code(key[0]), 1, key[1])
+               for key in [("phase3", "phase-only"), ("shor9", "all"),
+                           ("shor9", "phase-only"), ("perfect5", "all")]}
+
+#: masses around the zero threshold, relative to a total of about 1
+SMALL = [0.0, 1e-20, 1e-16, TOL_ZERO * (1 - 1e-9), TOL_ZERO,
+         TOL_ZERO * (1 + 1e-9), 1e-11]
+
+#: deviates at both ends of [0, 1)
+EDGE_DEVIATES = [0.0, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def walk_stacks(draw):
+    """(table, P, p_none, U, edges): a stack of syndrome probabilities over
+    one table, a mix of clean, spread and near-zero masses, with deviates.
+    Where edges holds a boolean, the scalar walk replaces the deviate by its
+    measurement's conditional probability prob (True: outcome 0 drawn) or
+    the float just below it (False: outcome 1 drawn), so that a last-bit
+    change to prob changes the outcome."""
+    table = WALK_TABLES[draw(st.sampled_from(sorted(WALK_TABLES)))]
+    n = len(table)
+    g = draw(st.integers(1, 8))
+    P, p_none = np.empty((g, n)), np.empty(g)
+    for j in range(g):
+        kind = draw(st.sampled_from(["clean", "spread", "sparse"]))
+        if kind == "clean":  # one subspace holds all but rounding dust
+            w = [draw(st.sampled_from(SMALL)) for _ in range(n + 1)]
+            w[draw(st.integers(0, n))] = 1.0
+        elif kind == "spread":
+            w = [draw(st.floats(0.0, 1.0)) for _ in range(n + 1)]
+        else:
+            w = [draw(st.one_of(st.sampled_from(SMALL), st.floats(0.0, 1.0)))
+                 if draw(st.booleans()) else 0.0 for _ in range(n + 1)]
+        if table.is_complete:
+            w[-1] = 0.0
+        if left_to_right(w) == 0.0:
+            w[0] = 1.0
+        total = left_to_right(w)
+        P[j] = [x / total for x in w[:-1]]
+        p_none[j] = w[-1] / total
+    U = np.array([[draw(st.one_of(st.sampled_from(EDGE_DEVIATES),
+                                  st.floats(0.0, 1.0, exclude_max=True)))
+                   for _ in range(n)] for _ in range(g)])
+    edges = [[draw(st.sampled_from([None, True, False])) for _ in range(n)]
+             for _ in range(g)]
+    return table, P, p_none, U, edges
+
+
+@settings(SETTINGS, max_examples=50)
+@given(walk_stacks(), st.booleans())
+def test_array_walk_matches_the_scalar_walk(stack, dyadic):
+    table, P, p_none, U, edges = stack
+
+    def deviate(j):
+        def at(k, prob):
+            if edges[j][k] is not None:
+                U[j, k] = prob if edges[j][k] else np.nextafter(prob, 0.0)
+            return U[j, k]
+        return at
+
+    walks = [scalar_walk(table, P[j].tolist(), float(p_none[j]), deviate(j),
+                         dyadic) for j in range(len(P))]
+    index, measurements, forced = sample_walks(table, P, p_none, U, dyadic)
+    for j, (i, steps, f) in enumerate(walks):
+        assert (index[j], measurements[j], forced[j]) == (
+            len(table) if i is None else i, len(steps), f)
+        labels = [(table.labels[lo] if mid - lo == 1
+                   else "U[%d..%d]" % (lo, mid - 1), outcome)
+                  for lo, mid, outcome in steps]
+        # the public walk draws one deviate per measurement as it goes
+        stream = Stream(U[j].tolist())
+        assert sample_walk(table, P[j], p_none[j], stream, dyadic) == (
+            i, labels, f)
+        assert len(stream.us) == len(table) - len(steps)

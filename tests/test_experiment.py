@@ -17,7 +17,6 @@ from qeclab.experiment import (BLOCK_AMPLITUDES, WILSON_Z95,
                                ExperimentConfig, analytic_success_bound,
                                records_to_csv, run_experiment,
                                wilson_interval)
-from qeclab.rng import Prefetched
 
 SHOR9 = dict(code="shor9", channel="random:2", max_active=2, p=0.2, seed=7)
 
@@ -123,17 +122,23 @@ def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
     assert run_experiment(config)[1]["results"]["forced_outcomes"] == 0
     # deviates just below 1 draw outcome 0 for the unflipped subspace, which
     # the threshold then forces to 1
-    monkeypatch.setattr(experiment, "Prefetched", lambda values: Prefetched(
-        np.full_like(values, np.nextafter(1.0, 0.0))))
-    forced = []
-    real_walk = experiment.sample_walk
+    real_walks = experiment.sample_walks
 
-    def walk(*args):
-        got = real_walk(*args)
-        forced.append(got[2])
+    def walks(table, P, p_none, U, dyadic):
+        return real_walks(table, P, p_none,
+                          np.full_like(U, np.nextafter(1.0, 0.0)), dyadic)
+
+    monkeypatch.setattr(experiment, "sample_walks", walks)
+    forced = []
+    real_block = experiment._ExperimentContext.run_block
+
+    def run_block(self, start, stop):
+        got = real_block(self, start, stop)
+        forced.append(int(got[1][1].sum()))
         return got
 
-    monkeypatch.setattr(experiment, "sample_walk", walk)
+    monkeypatch.setattr(experiment._ExperimentContext, "run_block",
+                        run_block)
     _, summary = run_experiment(config)
     total = sum(forced)
     assert summary["results"]["forced_outcomes"] == total > 0

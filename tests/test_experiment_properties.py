@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from qeclab import (PureState, apply_channel, build_syndrome_table, correct,
                     encode, inner, load_code, make_decoherence,
                     random_channel, trial_generator)
-from qeclab.experiment import (ExperimentConfig, _ExperimentContext,
+from qeclab import experiment
+from qeclab.decoder import sample_walk, sample_walks
+from qeclab.experiment import (CERTAIN_DEVIATE, ExperimentConfig,
+                               _ExperimentContext, records_to_csv,
                                run_experiment)
 
 FILTERS = {"phase3": "phase-only", "shor9": "all", "perfect5": "all"}
@@ -125,6 +128,74 @@ def test_a_trial_range_does_not_depend_on_its_block(config, data):
     ctx.block_trials = data.draw(st.integers(1, config.trials))
     part, _ = ctx.run_range(start, stop)
     assert part == whole[start:stop]
+
+
+def live_walks(ctx, start, stop):
+    """(index, measurements, forced) of trials [start, stop), each walked
+    alone by sample_walk on deviates drawn live from its own stream."""
+    out = []
+    for trial in range(start, stop):
+        rng, activated, normals = ctx.draw(trial)
+        *_, p, p_none = ctx.propagate(activated, [normals])
+        i, trace, forced = sample_walk(ctx.table, p[0], p_none[0], rng,
+                                       ctx.dyadic)
+        out.append((len(ctx.table) if i is None else i, len(trace), forced))
+    return np.array(out, dtype=np.intp).reshape(-1, 3).T
+
+
+@SETTINGS
+@given(configs())
+def test_block_walks_match_live_walks(config):
+    # clean trials skip drawing their deviates; the block's walks must not
+    # show it
+    ctx = _ExperimentContext(config)
+    records, walks = ctx.run_block(0, config.trials)
+    index, measurements, forced = live_walks(ctx, 0, config.trials)
+    assert np.array_equal(walks, np.stack([measurements, forced]))
+    texts = ctx.table.texts + ("none",)
+    assert [r["syndrome"] for r in records] == [texts[i] for i in index]
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "hierarchical"])
+@pytest.mark.parametrize("code", sorted(FILTERS))
+def test_clean_trials_walk_as_with_their_own_deviates(code, strategy):
+    config = ExperimentConfig(code=code, pattern_filter=FILTERS[code], p=0.0,
+                              channel="random:2", max_active=1, trials=60,
+                              seed=11, strategy=strategy)
+    ctx = _ExperimentContext(config)
+    _, walks = ctx.run_block(0, config.trials)
+    index, measurements, forced = live_walks(ctx, 0, config.trials)
+    assert np.array_equal(walks, np.stack([measurements, forced]))
+    # shor9's complement holds rounding dust, so some of its clean walks
+    # are not certain and draw their deviates after all: the run above
+    # took that path too
+    *_, P, p_none = ctx.propagate((), [ctx.draw(k)[2]
+                                       for k in range(config.trials)])
+    certain = sample_walks(ctx.table, P, p_none,
+                           np.full(P.shape, CERTAIN_DEVIATE), ctx.dyadic)
+    if code == "shor9":
+        assert ((certain[0] != 0) | (certain[2] != 0)).any()
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "hierarchical"])
+def test_csv_matches_a_per_trial_walk_loop(monkeypatch, strategy):
+    configs = [ExperimentConfig(trials=150, strategy=strategy, seed=seed, **kw)
+               for seed in (2, 3)
+               for kw in (dict(code="shor9", channel="random:2", p=0.2,
+                               max_active=2),
+                          dict(code="perfect5", channel="random:2", p=0.05),
+                          dict(code="phase3", pattern_filter="phase-only",
+                               channel="decoherence:0.3", p=0.3))]
+    batched = [run_experiment(c) for c in configs]
+
+    def walk(self, start, P, p_none, U, clean):
+        return live_walks(self, start, start + len(P))
+
+    monkeypatch.setattr(experiment._ExperimentContext, "walk", walk)
+    for config, (records, summary) in zip(configs, batched):
+        want_records, want_summary = run_experiment(config)
+        assert records_to_csv(records) == records_to_csv(want_records)
+        assert summary == want_summary
 
 
 @SETTINGS

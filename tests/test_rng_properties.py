@@ -1,8 +1,9 @@
 """Property tests of the re-keyed trial generator and prefetched deviates.
 
 The engine re-keys one shared Philox generator per trial and draws each
-trial's walk deviates ahead of the walk; both must reproduce, draw for
-draw, what a fresh rng.trial_generator(seed, trial) would give.
+trial's walk deviates ahead of the walk, for decoder.sample_walks; both must
+reproduce, draw for draw, what a fresh rng.trial_generator(seed, trial)
+would give.
 """
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qeclab import build_syndrome_table, load_code, trial_generator
-from qeclab.decoder import sample_walk
-from qeclab.rng import Prefetched, TrialStreams
+from qeclab.decoder import sample_walk, sample_walks
+from qeclab.rng import TrialStreams
 
 # derandomized, so that every run of the suite checks the same examples
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
@@ -65,6 +66,10 @@ def walks(draw):
 @given(walks(), SEEDS, TRIALS, st.booleans())
 def test_prefetched_deviates_drive_the_same_walk(walk, seed, trial, dyadic):
     table, p, p_none = walk
-    live = sample_walk(table, p, p_none, trial_generator(seed, trial), dyadic)
-    prefetched = Prefetched(trial_generator(seed, trial).random(len(table)))
-    assert sample_walk(table, p, p_none, prefetched, dyadic) == live
+    i, trace, forced = sample_walk(table, p, p_none,
+                                   trial_generator(seed, trial), dyadic)
+    prefetched = trial_generator(seed, trial).random((1, len(table)))
+    got = sample_walks(table, np.array([p]), np.array([p_none]), prefetched,
+                       dyadic)
+    assert [int(a[0]) for a in got] == [len(table) if i is None else i,
+                                        len(trace), forced]
