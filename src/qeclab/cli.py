@@ -35,8 +35,9 @@ from .channels import apply_channel, make_decoherence
 from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     encode, load_code, run_checker)
 from .decoder import PATTERN_FILTERS, build_syndrome_table, correct
-from .experiment import (SUCCESS_FIDELITY, BadInput, ExperimentConfig,
-                         records_to_csv, run_experiment)
+from .experiment import (MAX_WORKERS, SUCCESS_FIDELITY, BadInput,
+                         ExperimentConfig, WorkerFailed, records_to_csv,
+                         run_experiment)
 from .rng import trial_generator
 from .statespace import PureState
 
@@ -354,7 +355,8 @@ def build_parser():
     p.add_argument("--max-active", type=int, default=None, dest="max_active",
                    help="condition trials on at most this many activations")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (results identical)")
+                   help="parallel worker processes, at most %d (results "
+                        "identical)" % MAX_WORKERS)
     p.add_argument("--summary", default=None,
                    help="write the JSON summary to this path")
     p.set_defaults(func=cmd_simulate)
@@ -376,6 +378,9 @@ def main(argv=None):
         return 2
     except ConditionError as exc:
         sys.stderr.write(_json_text(exc.report.to_dict()))
+        sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except WorkerFailed as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

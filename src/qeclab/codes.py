@@ -204,14 +204,16 @@ def _gram_check(code, condition, t):
     K = 1 << code.l
     B = pattern_images(code, patterns)
     G = B.conj() @ B.T
-    dev = np.abs(G - np.eye(len(B)))
+    diagonal = G.diagonal().copy()  # the Gram entries the violations report
+    G.flat[::len(B) + 1] -= 1  # G - I, in place
+    dev = np.abs(G)
     worst = float(dev.max()) if len(B) else 0.0
     bad = np.argwhere(dev > CHECK_TOL)
     violations = []
     for i, j in bad[:_VIOLATION_CAP]:
         violations.append((int(i % K), int(j % K),
                            patterns[i // K], patterns[j // K],
-                           complex(G[i, j])))
+                           complex(diagonal[i] if i == j else G[i, j])))
     return (ConditionReport(condition, t, violations, len(bad), worst),
             patterns, B)
 

@@ -50,8 +50,9 @@ import contextlib
 import ctypes
 import glob
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -88,9 +89,18 @@ CERTAIN_DEVIATE = float(np.nextafter(1.0, 0.0))
 #: with its trial count beyond the records
 BLOCK_AMPLITUDES = 1 << 20
 
+#: the most worker processes a run may ask for; each extra worker is a fork
+#: of the whole parent
+MAX_WORKERS = 64
+
 
 class BadInput(ValueError):
     """Malformed input surfaced to the user with exit code 2."""
+
+
+class WorkerFailed(RuntimeError):
+    """A forked worker raised, died or sent back no complete result; surfaced
+    to the user with exit code 1."""
 
 
 class ExperimentConfig:
@@ -171,7 +181,7 @@ def parse_channel_spec(spec):
 
 class _ExperimentContext:
     """Everything the trials of one experiment share, built and checked
-    once: forked pool workers inherit it."""
+    once: forked workers inherit it instead of rebuilding it."""
 
     def __init__(self, config):
         self.config = config
@@ -395,19 +405,6 @@ class _ExperimentContext:
         return records, np.concatenate(walks, axis=1)
 
 
-#: the context of a forked pool worker, inherited from the parent process
-_worker_context = None
-
-
-def _adopt_context(ctx):
-    global _worker_context
-    _worker_context = ctx
-
-
-def _run_chunk(start, stop):
-    return _worker_context.run_range(start, stop)
-
-
 def _at_most(k, p, m):
     """Probability that at most m of k qubits activate, each independently
     with probability p."""
@@ -463,7 +460,7 @@ def _one_blas_thread():
 
     A threaded product can round differently from the one-thread product,
     so trials run at one thread whatever the worker count. Processes forked
-    meanwhile inherit the setting, so each pool worker also runs its BLAS
+    meanwhile inherit the setting, so each forked worker also runs its BLAS
     calls on its own core instead of every worker threading them over all
     cores at once.
     """
@@ -480,17 +477,101 @@ def _one_blas_thread():
         set_(old)
 
 
+def _fork_share(ctx, start, stop):
+    """Fork a worker that runs trials [start, stop) on the context it
+    inherits; returns (its pid, the read end of its pipe as a file).
+
+    The worker pickles ``(True, (records, walks))``, or ``(False, error
+    text)`` if its share raised, into the pipe and leaves by os._exit: it
+    never returns into the caller's stack, runs no atexit handler and
+    flushes none of the stdio buffers it inherited.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = True, ctx.run_range(start, stop)
+        except Exception as exc:
+            payload = False, "%s: %s" % (type(exc).__name__, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _unpack(data, status, start, stop):
+    """(records, walks) from the payload `data` of the worker that ran trials
+    [start, stop) and left with exit status `status`. Raises WorkerFailed if
+    it raised, died, or sent a short or unreadable payload."""
+    try:
+        ok, result = pickle.loads(data)
+    except Exception:  # a truncated or foreign payload, whatever it raises
+        ok = None
+    where = "worker for trials [%d, %d)" % (start, stop)
+    if ok is False:
+        raise WorkerFailed("%s raised %s" % (where, result))
+    if ok is None or status != 0:
+        how = ("was killed by signal %d" % -status if status < 0
+               else "exited with status %d" % status)
+        raise WorkerFailed("%s %s after sending %d bytes%s" % (
+            where, how, len(data),
+            "" if ok else " that hold no complete result"))
+    return result
+
+
+def _run_forked(ctx, shares):
+    """(records, walks) of every share [a, b) in `shares`, in order: the
+    first runs here, each other one in a forked worker, whose pipe is read
+    to EOF and which is then reaped, in trial order. Any failure kills and
+    reaps every worker not yet reaped before it propagates."""
+    workers = []  # (pid, pipe, start, stop) of the workers not yet reaped
+    try:
+        for a, b in shares[1:]:
+            workers.append(_fork_share(ctx, a, b) + (a, b))
+        chunks = [ctx.run_range(*shares[0])]
+        while workers:
+            pid, pipe, a, b = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            chunks.append(_unpack(data, status, a, b))
+    finally:
+        for pid, pipe, _, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return ([rec for records, _ in chunks for rec in records],
+            np.concatenate([walks for _, walks in chunks], axis=1))
+
+
 def run_experiment(config, workers=1):
     """Run all trials, in order; returns (records, summary dict).
 
-    workers > 1 splits the trial range across forked processes, which
-    inherit the context built here instead of rebuilding it; because each
-    trial's randomness is keyed by (seed, trial) alone, the records are
-    identical at any worker count.
+    workers > 1 splits the trial range into that many shares. This process
+    runs the first; each other one runs in a worker forked from it, which
+    inherits the context built here instead of rebuilding it and sends its
+    records back over a pipe. Because each trial's randomness is keyed by
+    (seed, trial) alone, the records are identical at any worker count. A
+    worker that fails makes the run raise WorkerFailed, and no run leaves a
+    worker behind.
     """
     workers = int(workers)
     if workers < 1:
         raise BadInput("need at least one worker, not %d" % workers)
+    if workers > MAX_WORKERS:
+        raise BadInput("at most %d workers, not %d" % (MAX_WORKERS, workers))
     ctx = _ExperimentContext(config)  # validates before any trial runs
     workers = min(workers, config.trials)
     with _one_blas_thread():
@@ -498,14 +579,9 @@ def run_experiment(config, workers=1):
             records, walks = ctx.run_range(0, config.trials)
         else:
             edges = np.linspace(0, config.trials, workers + 1).astype(int)
-            jobs = [(int(a), int(b))
-                    for a, b in zip(edges[:-1], edges[1:]) if a < b]
-            with multiprocessing.get_context("fork").Pool(
-                    workers, initializer=_adopt_context,
-                    initargs=(ctx,)) as pool:
-                chunks = pool.starmap(_run_chunk, jobs)
-            records = [rec for chunk, _ in chunks for rec in chunk]
-            walks = np.concatenate([chunk for _, chunk in chunks], axis=1)
+            records, walks = _run_forked(ctx, [
+                (int(a), int(b))
+                for a, b in zip(edges[:-1], edges[1:]) if a < b])
     return records, _summary(ctx, records, walks)
 
 

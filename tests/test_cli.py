@@ -2,8 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
@@ -398,6 +398,99 @@ def test_simulate_refuses_fewer_than_one_worker(workers):
     assert "need at least one worker, not %s" % workers in proc.stderr
 
 
+def test_simulate_refuses_more_workers_than_the_cap(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(experiment.os, "fork", no_fork)
+    over = str(experiment.MAX_WORKERS + 1)
+    rc, out, err = run(["simulate", "--code", "phase3", "--filter",
+                        "phase-only", "--p", "0.1", "--trials", over,
+                        "--workers", over])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: at most %d workers, not %s\n" % (
+        experiment.MAX_WORKERS, over)
+    # at the cap, one trial runs in this process alone
+    rc, _, _ = run(["simulate", "--code", "phase3", "--filter", "phase-only",
+                    "--p", "0.1", "--trials", "1", "--workers",
+                    str(experiment.MAX_WORKERS)])
+    assert rc == 0
+
+
+#: runs a two-worker simulate whose run_range first runs {share}, then
+#: reports its exit code (or the exception it raised) and whether any child
+#: process is left
+_WORKER_FAILURE = """
+import os, pickle, signal, time
+from qeclab import cli, experiment
+
+run_range = experiment._ExperimentContext.run_range
+
+
+class ShortPickle:  # sends the first 10 bytes of a payload
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+    @staticmethod
+    def dump(obj, pipe, protocol):
+        pipe.write(pickle.dumps(obj, protocol)[:10])
+
+
+def failing(self, start, stop):
+    {share}
+    return run_range(self, start, stop)
+
+experiment._ExperimentContext.run_range = failing
+try:
+    rc = cli.main(["simulate", "--code", "phase3", "--filter", "phase-only",
+                   "--p", "0.1", "--trials", "40", "--workers", "2"])
+except RuntimeError as exc:
+    rc = "raised %s" % exc
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", rc)
+except ChildProcessError:
+    print("no child left", rc)
+"""
+
+
+@pytest.mark.parametrize("share, rc, error", [
+    ('if start: raise RuntimeError("share %d-%d failed" % (start, stop))',
+     "1", "worker for trials [20, 40) raised RuntimeError: share 20-40 "
+     "failed"),
+    ("if start: os._exit(3)", "1",
+     "worker for trials [20, 40) exited with status 3 after sending 0 bytes "
+     "that hold no complete result"),
+    ("if start: os.kill(os.getpid(), signal.SIGKILL)", "1",
+     "worker for trials [20, 40) was killed by signal 9 after sending 0 "
+     "bytes that hold no complete result"),
+    ("if start: experiment.pickle = ShortPickle", "1",
+     "worker for trials [20, 40) exited with status 0 after sending 10 "
+     "bytes that hold no complete result"),
+    # the worker would sleep for ten minutes unless killed
+    ('if not start: raise RuntimeError("own share failed")\n'
+     "    time.sleep(600)", "raised own share failed", ""),
+])
+def test_a_failed_share_fails_the_run_and_leaves_no_process(share, rc, error):
+    # in a child process of its own session, so that a hang fails the test
+    # at its timeout, and whatever the run leaves behind is killed after it
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WORKER_FAILURE.format(share=share)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert out == "no child left %s\n" % rc
+    assert err == ("error: %s\n" % error if error else "")
+
+
 def test_simulate_refuses_an_activation_cap_it_cannot_sample():
     # no activation among 9 qubits at p = 0.99 has probability 1e-18, so
     # redrawing activations until the cap holds would never finish; the run
@@ -446,8 +539,20 @@ def test_simulate_per_trial_draw_order_is_pinned(tmp_path, strategy, digest):
     assert _digest_without_fidelity(out.read_text()) == digest
 
 
-def _blas_threads():
-    return experiment._openblas_thread_controls()[0]()
+def _forked_blas_threads(get):
+    """The OpenBLAS thread count that a process forked now sees."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            os.write(write, bytes([get()]))
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        seen = pipe.read()
+    assert os.waitpid(pid, 0)[1] == 0
+    return seen[0]
 
 
 def test_one_blas_thread_holds_forked_workers_and_restores_the_count():
@@ -459,8 +564,7 @@ def test_one_blas_thread_holds_forked_workers_and_restores_the_count():
     with pytest.raises(RuntimeError):
         with experiment._one_blas_thread():
             assert get() == 1
-            with multiprocessing.get_context("fork").Pool(1) as pool:
-                assert pool.apply(_blas_threads) == 1
+            assert _forked_blas_threads(get) == 1
             raise RuntimeError("the count is restored on the way out")
     assert get() == before
 
