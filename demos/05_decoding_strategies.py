@@ -34,9 +34,37 @@ ref = encode(code, logical / np.linalg.norm(logical))
 noisy = apply_channel(ref, 6, random_channel(4, rng))
 
 print("\n== the distributions agree exactly ==")
-labels, pe = syndrome_distribution(noisy, table, "exhaustive")
-_, ph = syndrome_distribution(noisy, table, "hierarchical")
-print("max |p_exhaustive - p_hierarchical| = %.3g" % np.max(np.abs(pe - ph)))
+labels, probs = syndrome_distribution(noisy, table)
+
+
+def tree_distribution(dyadic):
+    """Where a walk ends: down each path of its own tree of yes/no
+    questions, the product of the probabilities of the answers given. A
+    question asks whether the state lies in the union of the first subspaces
+    of the block still in play (one subspace for the exhaustive walk); the
+    complement stays in play until an answer "yes" rules it out."""
+    n = len(table)
+    out = np.zeros(n + 1)
+
+    def visit(lo, hi, weight):
+        if hi - lo == 1 or weight == 0.0:
+            out[lo] += weight
+            return
+        size = max(min(hi, n) - lo - 1, 1).bit_length() - 1 if dyadic else 0
+        mid = lo + (1 << size)
+        inside = probs[lo:mid].sum()
+        yes = inside / (inside + probs[mid:hi].sum())
+        visit(lo, mid, weight * yes)
+        visit(mid, hi, weight * (1.0 - yes))
+
+    visit(0, n if dyadic and table.is_complete else n + 1, 1.0)
+    return out
+
+
+pe, ph = tree_distribution(False), tree_distribution(True)
+print("max |p_exhaustive - p_hierarchical|  = %.3g" % np.max(np.abs(pe - ph)))
+print("max |p_walk - syndrome_distribution| = %.3g"
+      % max(np.max(np.abs(pe - probs)), np.max(np.abs(ph - probs))))
 print("support of the distribution:")
 for lbl, p in zip(labels, pe):
     if p > 1e-12:

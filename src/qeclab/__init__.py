@@ -30,7 +30,7 @@ from .channels import (QubitChannel, apply_channel, channel_from_dict,
 from .decoder import (DecodeReport, SyndromeTable, build_syndrome_table,
                       correct, measure_exhaustive, measure_hierarchical,
                       recover, syndrome_distribution)
-from .bounds import (BoundQuery, asymptotic_gv_rate, asymptotic_hamming_rate,
+from .bounds import (asymptotic_gv_rate, asymptotic_hamming_rate,
                      bound_rows, entropy, finite_hamming_rate,
                      gv_guaranteed_codewords, gv_inequality_holds,
                      hamming_holds, hamming_rate_root, min_n_gv,

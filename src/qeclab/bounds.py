@@ -34,10 +34,6 @@ with H the binary entropy, H(0) = H(1) = 0 by continuity.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-
-#: A (n, l, t) bound query; all fields nonnegative, t <= n, l <= n.
-BoundQuery = namedtuple("BoundQuery", ["n", "l", "t"])
 
 LOG2_3 = math.log2(3.0)
 

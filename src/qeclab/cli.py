@@ -31,12 +31,13 @@ import numpy as np
 
 from .bitstrings import BitString
 from .bounds import bound_rows, min_n_gv, min_n_hamming
-from .channels import apply_channel, make_decoherence
+from .channels import apply_channel
 from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     encode, load_code, run_checker)
-from .decoder import PATTERN_FILTERS, build_syndrome_table, correct
+from .decoder import DYADIC, PATTERN_FILTERS, build_syndrome_table, correct
 from .experiment import (MAX_WORKERS, SUCCESS_FIDELITY, BadInput,
-                         ExperimentConfig, WorkerFailed, records_to_csv,
+                         ExperimentConfig, WorkerFailed, parse_channel_spec,
+                         read_amplitudes, read_code, records_to_csv,
                          run_experiment)
 from .rng import trial_generator
 from .statespace import PureState
@@ -69,10 +70,7 @@ def _json_text(obj):
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_verify(args):
-    try:
-        code = load_code(args.code)
-    except (OSError, ValueError) as exc:
-        raise BadInput(str(exc))
+    code = read_code(args.code)
     t = args.t if args.t is not None else code.claimed_t
     try:
         report = run_checker(code, args.condition, t)
@@ -161,19 +159,8 @@ outcome map ((L1, L2) -> correction):
 def cmd_demo3(args):
     out = []
     code = load_code("phase3")
-    try:
-        c = np.array([complex(args.c0), complex(args.c1)])
-        overlap = complex(args.overlap)
-    except ValueError as exc:
-        raise BadInput("bad amplitude or overlap literal: %s" % exc)
-    if not (np.all(np.isfinite(c)) and np.isfinite(overlap)):
-        raise BadInput("amplitudes and overlap must be finite")
-    if abs(overlap) > 1.0:
-        raise BadInput("decoherence overlap magnitude exceeds 1")
-    nrm = np.linalg.norm(c)
-    if nrm < 1e-12:
-        raise BadInput("logical amplitudes are both zero")
-    c = c / nrm
+    c = read_amplitudes([args.c0, args.c1], 2)
+    _, channel = parse_channel_spec("decoherence:" + args.overlap)
     out.append("three-qubit phase code demo")
     out.append("")
     out.append("logical state: (%.4f%+.4fj)|0> + (%.4f%+.4fj)|1>"
@@ -189,8 +176,7 @@ def cmd_demo3(args):
         if args.qubit not in ("0", "1", "2"):
             raise BadInput("--qubit must be 0, 1, 2, or 'none'")
         qubit = int(args.qubit)
-        ch = make_decoherence(overlap)
-        state = apply_channel(reference, qubit, ch)
+        state = apply_channel(reference, qubit, channel)
         out.append("qubit %d decoheres (environment overlap <a0|a1> = %s):"
                    % (qubit, args.overlap))
         out.append("joint state: %s" % _format_state(state))
@@ -286,16 +272,24 @@ def cmd_catalogue(args):
 
 # -- parser -------------------------------------------------------------------------
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="experiment seed (default 0)")
-    common.add_argument("--out", default=None,
-                        help="write primary output to this path instead of "
-                             "stdout")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format where applicable")
+#: options that more than one subcommand reads; a subcommand declares only
+#: those it reads, so that the others refuse them
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="experiment seed (default 0)"),
+    "--out": dict(help="write primary output to this path instead of stdout"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="output format (default csv)"),
+}
 
+
+def _subcommand(sub, name, shared, **kwargs):
+    p = sub.add_parser(name, **kwargs)
+    for option in shared:
+        p.add_argument(option, **_SHARED_OPTIONS[option])
+    return p
+
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="qeclab",
         description="quantum error-correction workbench: encoded blocks, "
@@ -303,8 +297,8 @@ def build_parser():
                     "packing/covering bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a correctability checker on a code")
+    p = _subcommand(sub, "verify", ["--out"],
+                    help="run a correctability checker on a code")
     p.add_argument("--code", required=True,
                    help="catalogue name (%s) or JSON file"
                         % ", ".join(BUILTIN_CODES))
@@ -314,16 +308,16 @@ def build_parser():
                    choices=("amplitude", "phase", "general"))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="packing/covering bound table")
+    p = _subcommand(sub, "bounds", ["--out", "--format"],
+                    help="packing/covering bound table")
     p.add_argument("--l", type=int, required=True, help="logical qubits")
     p.add_argument("--t", type=int, required=True, help="correctable weight")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",
                    help="largest block size row (default: l-ish + 11)")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("demo3", parents=[common],
-                       help="narrated three-qubit phase-code demo")
+    p = _subcommand(sub, "demo3", ["--seed", "--out"],
+                    help="narrated three-qubit phase-code demo")
     p.add_argument("--c0", default="0.6", help="logical |0> amplitude")
     p.add_argument("--c1", default="0.8", help="logical |1> amplitude")
     p.add_argument("--qubit", default="0",
@@ -332,8 +326,8 @@ def build_parser():
                    help="environment overlap <a0|a1> of the decoherence")
     p.set_defaults(func=cmd_demo3)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte Carlo noise-and-decode experiment")
+    p = _subcommand(sub, "simulate", ["--seed", "--out", "--format"],
+                    help="Monte Carlo noise-and-decode experiment")
     p.add_argument("--code", default="phase3")
     p.add_argument("--p", type=float, required=True,
                    help="independent activation probability per qubit")
@@ -343,8 +337,7 @@ def build_parser():
     p.add_argument("--qubits", default="all",
                    help="'all' or comma list of eligible qubit indices")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--strategy", default="exhaustive",
-                   choices=("exhaustive", "hierarchical"))
+    p.add_argument("--strategy", default="exhaustive", choices=tuple(DYADIC))
     p.add_argument("--logical", default="random",
                    help="'random' (fresh per trial) or comma list of 2^l "
                         "complex amplitudes")
@@ -361,8 +354,8 @@ def build_parser():
                    help="write the JSON summary to this path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("catalogue", parents=[common],
-                       help="list built-in codes and checker verdicts")
+    p = _subcommand(sub, "catalogue", ["--out", "--format"],
+                    help="list built-in codes and checker verdicts")
     p.set_defaults(func=cmd_catalogue)
 
     return parser

@@ -25,18 +25,25 @@ The built-in catalogue ships four codes as literal dyadic amplitude data:
 from __future__ import annotations
 
 import json
+import math
 import os
 from importlib import resources
 
 import numpy as np
 
 from .bitstrings import BitString
+from .bounds import sphere_volume
 from .errors import ErrorPattern, apply_phase, \
     enumerate_bitstrings_by_weight, enumerate_patterns
 from .statespace import DIM_CAP, TOL_NORM, FactorLayout, PureState
 
 CHECK_TOL = 1e-9
 _VIOLATION_CAP = 64
+
+#: Most entries a Gram check may hold in one array: R x 2^n pattern images
+#: and their R x R Gram matrix, R image rows. 2^26 complex entries take
+#: 1 GiB; shor9 at t = 3 (5240 rows) fits, at t = 4 (25652 rows) it does not.
+GRAM_MAX_ENTRIES = 1 << 26
 
 BUILTIN_CODES = ("phase3", "shor9", "perfect5", "trivial1")
 
@@ -199,7 +206,15 @@ def _gram_check(code, condition, t):
     """Check one condition at weight t from the Gram matrix of its pattern
     images: (ConditionReport, patterns, images)."""
     if not 0 <= t <= code.n:
-        raise ValueError("need 0 <= t <= n")
+        raise ValueError("t = %d lies outside [0, n = %d]" % (t, code.n))
+    # image rows, counted before any pattern is enumerated
+    R = (sphere_volume(code.n, t) if condition == "general" else
+         sum(math.comb(code.n, i) for i in range(t + 1))) << code.l
+    if R * max(R, 1 << code.n) > GRAM_MAX_ENTRIES:
+        raise ValueError("the %s condition at t = %d has %d pattern images "
+                         "of 2^%d amplitudes; their Gram check would exceed "
+                         "the cap of %d entries"
+                         % (condition, t, R, code.n, GRAM_MAX_ENTRIES))
     patterns = condition_patterns(code.n, t, condition)
     K = 1 << code.l
     B = pattern_images(code, patterns)

@@ -379,7 +379,7 @@ def _dyadic(strategy):
 
 # -- exact outcome distributions ------------------------------------------------
 
-def syndrome_distribution(state, table, strategy="exhaustive"):
+def syndrome_distribution(state, table):
     """Exact outcome probabilities of a full measurement walk (no sampling).
 
     Returns (labels, probs): labels are the canonical pattern texts plus a
@@ -389,7 +389,6 @@ def syndrome_distribution(state, table, strategy="exhaustive"):
     remaining mass, which both strategies sample, so the two strategies
     give the same distribution.
     """
-    _dyadic(strategy)
     _, _, p, p_none = _coordinates(state, table)
     return list(table.texts) + ["none"], np.append(p, p_none)
 
@@ -483,7 +482,8 @@ def correct(state, code, t, strategy, randomness, reference,
     uniform deviate per binary measurement; reference is the system-only
     state the fidelity is measured against (normally the uncorrupted encoded
     block). A prebuilt SyndromeTable for (code, t, pattern_filter) can be
-    passed to skip rebuilding in tight loops.
+    passed to skip rebuilding in tight loops; a table built for another
+    code, t or pattern filter is refused.
     """
     if table is None:
         table = build_syndrome_table(code, t, pattern_filter)
@@ -491,6 +491,10 @@ def correct(state, code, t, strategy, randomness, reference,
           and not np.array_equal(table.code.matrix(), code.matrix())):
         raise ValueError("table was built for another code (%r)"
                          % table.code.name)
+    elif (table.t, table.pattern_filter) != (t, pattern_filter):
+        raise ValueError("table was built for t = %d and pattern filter %r, "
+                         "not t = %d and %r" % (table.t, table.pattern_filter,
+                                                t, pattern_filter))
     dyadic = _dyadic(strategy)
     if not reference.layout.is_system_only():
         raise ValueError("reference must be a system-only state")

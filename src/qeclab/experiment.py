@@ -28,11 +28,12 @@ joint amplitudes, each block in three phases:
    every trial's syndrome coordinates;
 3. decode -- one array walk (decoder.sample_walks) advances every trial's
    measurement walk on its prefetched deviates, round by round, and each
-   group's outcomes are verified on their small syndrome blocks. A walk's masses are left-to-right sums, taken as masked
-   cumulative sums, so no interpreter's float sum() enters them. A clean
-   trial walks on the largest deviate below 1, which keeps its result
-   exactly when every step is certain (_ExperimentContext.walk); any other
-   clean trial re-keys, draws its deviates and walks again.
+   group's outcomes are verified on their small syndrome blocks. A walk's
+   masses are left-to-right sums, taken as masked cumulative sums, so no
+   interpreter's float sum() enters them. A clean trial walks on the
+   largest deviate below 1, which keeps its result exactly when every step
+   is certain (_ExperimentContext.walk); any other clean trial re-keys,
+   draws its deviates and walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
@@ -59,9 +60,8 @@ import numpy as np
 from .channels import (entangle_stack, gaussian_blocks, load_channel,
                        make_decoherence, orthonormalize_blocks, validate)
 from .codes import encode_stack, load_code
-from .decoder import (DYADIC, PATTERN_FILTERS, build_syndrome_table,
-                      sample_walks, stack_coordinates, verify_blocks,
-                      verify_complement)
+from .decoder import (DYADIC, build_syndrome_table, sample_walks,
+                      stack_coordinates, verify_blocks, verify_complement)
 from .rng import TrialStreams
 from .statespace import DIM_CAP, TOL_NORM
 
@@ -126,8 +126,7 @@ class ExperimentConfig:
         self.trials = int(trials)
         self.seed = int(seed)
         self.strategy = strategy
-        self.logical = logical if logical == "random" else tuple(
-            complex(c) for c in logical)
+        self.logical = logical if logical == "random" else tuple(logical)
         self.pattern_filter = pattern_filter
         self.t = None if t is None else int(t)
         self.max_active = None if max_active is None else int(max_active)
@@ -137,8 +136,6 @@ class ExperimentConfig:
             raise BadInput("need at least one trial")
         if self.strategy not in DYADIC:
             raise BadInput("unknown strategy %r" % strategy)
-        if self.pattern_filter not in PATTERN_FILTERS:
-            raise BadInput("unknown pattern filter %r" % pattern_filter)
         if self.max_active is not None and self.max_active < 0:
             raise BadInput("max_active must be >= 0")
 
@@ -146,37 +143,67 @@ class ExperimentConfig:
         out = {f: getattr(self, f) for f in self.FIELDS}
         if out["qubits"] != "all":
             out["qubits"] = list(out["qubits"])
-        if out["logical"] != "random":
-            out["logical"] = [[c.real, c.imag] for c in out["logical"]]
+        if out["logical"] != "random":  # checked by read_amplitudes
+            out["logical"] = [[c.real, c.imag]
+                              for c in map(complex, out["logical"])]
         return out
 
 
-def parse_channel_spec(spec):
-    """Parse "decoherence:<overlap>", "random:<env_dim>", or a JSON path.
+def read_code(ref):
+    """load_code(ref), a catalogue name or a code file, raising BadInput
+    when it cannot be loaded."""
+    try:
+        return load_code(ref)
+    except (OSError, ValueError) as exc:
+        raise BadInput(str(exc))
 
-    Returns (kind, value): ("decoherence", QubitChannel),
-    ("random", env_dim), or ("file", QubitChannel).
+
+def read_amplitudes(values, count):
+    """The normalized logical state given by `count` amplitudes, each a
+    complex() literal or number; raises BadInput unless they parse, are
+    finite and are not all zero."""
+    if len(values) != count:
+        raise BadInput("logical state needs %d amplitudes" % count)
+    try:
+        vec = np.array([complex(v) for v in values])
+    except (TypeError, ValueError) as exc:
+        raise BadInput("bad logical amplitude: %s" % exc)
+    if not np.all(np.isfinite(vec)):
+        raise BadInput("logical amplitudes must be finite")
+    nrm = np.linalg.norm(vec)
+    if nrm < 1e-12:
+        raise BadInput("logical state is the zero vector")
+    return vec / nrm
+
+
+def parse_channel_spec(spec):
+    """Read "decoherence:<overlap>", "random:<env_dim>", or a channel JSON
+    path: (env_dim, channel), channel being None for "random:", whose
+    channels the trials draw. A returned channel has passed
+    channels.validate; any other spec raises BadInput.
     """
     if spec.startswith("decoherence:"):
         try:
-            overlap = complex(spec.split(":", 1)[1])
-        except ValueError:
-            raise BadInput("bad overlap in channel spec %r" % spec)
-        if abs(overlap) > 1.0:
-            raise BadInput("decoherence overlap magnitude exceeds 1")
-        return "decoherence", make_decoherence(overlap)
-    if spec.startswith("random:"):
+            channel = make_decoherence(complex(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise BadInput("bad overlap in channel spec %r: %s" % (spec, exc))
+    elif spec.startswith("random:"):
         try:
             d = int(spec.split(":", 1)[1])
         except ValueError:
             raise BadInput("bad dimension in channel spec %r" % spec)
         if d < 1:
             raise BadInput("random channel dimension must be >= 1")
-        return "random", d
-    try:
-        return "file", load_channel(spec)
-    except (OSError, ValueError) as exc:
-        raise BadInput("cannot load channel %r: %s" % (spec, exc))
+        return d, None
+    else:
+        try:
+            channel = load_channel(spec)
+        except (OSError, ValueError) as exc:
+            raise BadInput("cannot load channel %r: %s" % (spec, exc))
+    bad = validate(channel)
+    if bad:
+        raise BadInput("invalid channel: %s" % bad)
+    return channel.env_dim, channel
 
 
 class _ExperimentContext:
@@ -185,15 +212,11 @@ class _ExperimentContext:
 
     def __init__(self, config):
         self.config = config
-        try:
-            self.code = load_code(config.code)
-        except (OSError, ValueError) as exc:
-            raise BadInput(str(exc))
+        self.code = read_code(config.code)
         self.t = config.t if config.t is not None else self.code.claimed_t
-        if not 0 <= self.t <= self.code.n:
-            raise BadInput("decode weight t = %d lies outside [0, n = %d]"
-                           % (self.t, self.code.n))
-        self.kind, self.channel_value = parse_channel_spec(config.channel)
+        self.env_dim, channel = parse_channel_spec(config.channel)
+        self.fixed_block = (None if channel is None  # trials draw theirs
+                            else channel.block()[np.newaxis])
         if config.qubits == "all":
             self.eligible = list(range(self.code.n))
         else:
@@ -202,15 +225,6 @@ class _ExperimentContext:
             if len(set(config.qubits)) < len(config.qubits):
                 raise BadInput("qubit list repeats an index")
             self.eligible = list(config.qubits)
-        if self.kind == "random":
-            self.env_dim = self.channel_value
-            self.fixed_block = None
-        else:
-            bad = validate(self.channel_value)
-            if bad:
-                raise BadInput("invalid channel: %s" % bad)
-            self.env_dim = self.channel_value.env_dim
-            self.fixed_block = self.channel_value.block()[np.newaxis]
         worst_active = (len(self.eligible) if config.max_active is None
                         else min(config.max_active, len(self.eligible)))
         self.worst_dim = (1 << self.code.n) * self.env_dim ** worst_active
@@ -231,27 +245,20 @@ class _ExperimentContext:
                     "or lower --p" % (config.p, config.max_active,
                                       len(self.eligible), acceptance,
                                       MIN_ACCEPTANCE))
-        if config.logical != "random":
-            if len(config.logical) != (1 << self.code.l):
-                raise BadInput("logical state needs %d amplitudes"
-                               % (1 << self.code.l))
-            vec = np.array(config.logical, dtype=np.complex128)
-            if not np.all(np.isfinite(vec)):
-                raise BadInput("logical amplitudes must be finite")
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                raise BadInput("logical state is the zero vector")
-            self.fixed_logical = vec / nrm
-        else:
-            self.fixed_logical = None
-        self.table = build_syndrome_table(self.code, self.t,
-                                          config.pattern_filter)
+        self.fixed_logical = (None if config.logical == "random" else
+                              read_amplitudes(config.logical,
+                                              1 << self.code.l))
+        try:  # the one check of t and of the pattern filter
+            self.table = build_syndrome_table(self.code, self.t,
+                                              config.pattern_filter)
+        except ValueError as exc:
+            raise BadInput(str(exc))
         self.dyadic = DYADIC[config.strategy]
         self.block_trials = max(1, BLOCK_AMPLITUDES // self.worst_dim)
         # standard normals a trial draws per activated qubit (a random
         # channel's real and imaginary 2 x 2d_E parts) and for its logical
         # state (2^l real, then 2^l imaginary parts)
-        self.channel_normals = 8 * self.env_dim if self.kind == "random" else 0
+        self.channel_normals = 8 * self.env_dim if channel is None else 0
         self.logical_normals = (2 << self.code.l if self.fixed_logical is None
                                 else 0)
         self.streams = TrialStreams()

@@ -31,10 +31,11 @@ from qeclab import (
     residue_oracle,
     run_checker,
     sphere_volume,
-    syndrome_distribution,
     trial_generator,
 )
 from qeclab.cli import main
+
+from walk_trees import check_strategies
 
 
 def random_logical(rng):
@@ -186,10 +187,7 @@ def test_criterion_08_strategies_agree_exactly(acceptance):
             "A(010000000)P(010000000)"), ref9)]
 
         for st, tab in [(s, table) for s in states] + [(s, table9) for s in states9]:
-            labels_e, probs_e = syndrome_distribution(st, tab, "exhaustive")
-            labels_h, probs_h = syndrome_distribution(st, tab, "hierarchical")
-            assert labels_e == labels_h
-            assert np.max(np.abs(probs_e - probs_h)) <= 1e-12
+            check_strategies(st, tab)
 
 
 def test_criterion_09_finite_rates_track_the_asymptote(acceptance):

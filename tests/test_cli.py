@@ -56,6 +56,36 @@ def test_verify_bad_t_exits_two():
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "shor9", "--t", "4"],
+    ["simulate", "--code", "shor9", "--t", "4", "--max-active", "2",
+     "--p", "0.1"],
+])
+def test_a_gram_check_too_large_to_hold_exits_two(argv):
+    # 25652 image rows: a 9.8 GiB Gram matrix
+    rc, out, err = run(argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the general condition at t = 4 has 25652 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "phase3", "--seed", "1"],
+    ["verify", "--code", "phase3", "--format", "json"],
+    ["bounds", "--l", "1", "--t", "1", "--seed", "1"],
+    ["catalogue", "--seed", "1"],
+    ["demo3", "--format", "json"],
+])
+def test_an_option_the_subcommand_does_not_read_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+
 # -- bounds ---------------------------------------------------------------------
 
 
@@ -251,7 +281,7 @@ def test_demo3_validates_inputs():
     # non-finite numbers and a non-numeric qubit end in a message, not a
     # traceback
     for argv in (["--c0", "nan"], ["--c1", "inf"], ["--overlap", "nan"],
-                 ["--qubit", "abc"]):
+                 ["--c0", "x"], ["--overlap", "x"], ["--qubit", "abc"]):
         rc, out, err = run(["demo3"] + argv)
         assert rc == 2
         assert err.startswith("error: ")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from qeclab import codes
 from qeclab import (
     BUILTIN_CODES,
     CATALOGUE_EXPECTATIONS,
     BitString,
     ErrorPattern,
     PureState,
+    QuantumCode,
     apply_pattern,
     catalogue,
     check_general_condition,
@@ -60,6 +62,31 @@ def test_condition_checker_verdicts(name):
         else:
             assert report.worst > 1e-9
             assert report.violation_count > 0
+
+
+@pytest.mark.parametrize("condition, t, refused", [
+    ("general", 3, False),   # 5240 image rows, 27.5e6 Gram entries
+    ("general", 4, True),    # 25652 image rows, 658e6 Gram entries
+    ("phase", 9, False),     # 1024 image rows, twice 2^n
+])
+def test_gram_check_refuses_before_enumerating_what_it_cannot_hold(
+        monkeypatch, condition, t, refused):
+    def no_images(code, patterns):
+        raise LookupError("enumerated %d patterns" % len(patterns))
+
+    monkeypatch.setattr(codes, "pattern_images", no_images)
+    if refused:
+        monkeypatch.setattr(codes, "condition_patterns", None)
+    with pytest.raises(ValueError if refused else LookupError):
+        run_checker(load_code("shor9"), condition, t)
+
+
+def test_gram_check_runs_a_16_qubit_code():
+    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
+    code = QuantumCode("rep16", 16, 1, 1, [PureState.basis_state(zeros),
+                                           PureState.basis_state(ones)])
+    assert run_checker(code, "amplitude", 1).passed
+    assert not run_checker(code, "phase", 1).passed
 
 
 def test_run_checker_rejects_unknown_condition():

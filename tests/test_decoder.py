@@ -27,6 +27,8 @@ from qeclab import (
 )
 from qeclab.decoder import sample_walk
 
+from walk_trees import check_strategies
+
 
 class Stream:
     """Scripted measurement deviates: 0.0 forces outcome 1, 1.0 forces 0."""
@@ -188,18 +190,11 @@ def test_multi_decoherence_spreads_uniformly():
 def test_strategies_agree_on_syndrome_distributions():
     code, ref = encoded("phase3")
     table = build_syndrome_table(code, 1, "phase-only")
-    st = decohered(ref, (0, 1), overlap=0.3)
-    labels_e, probs_e = syndrome_distribution(st, table, "exhaustive")
-    labels_h, probs_h = syndrome_distribution(st, table, "hierarchical")
-    assert labels_e == labels_h
-    assert np.max(np.abs(probs_e - probs_h)) < 1e-12
-
-
-def test_distribution_rejects_unknown_strategy():
-    code, ref = encoded("phase3")
-    table = build_syndrome_table(code, 1, "phase-only")
-    with pytest.raises(ValueError):
-        syndrome_distribution(ref, table, "sorted")
+    check_strategies(decohered(ref, (0, 1), overlap=0.3), table)
+    code, ref = encoded("shor9")
+    st = apply_channel(ref, 4, random_channel(2, np.random.default_rng(8)))
+    check_strategies(decohered(st, (7,), overlap=0.5),
+                     build_syndrome_table(code, 1))
 
 
 # -- recovery ------------------------------------------------------------------
@@ -330,6 +325,20 @@ def test_correct_checks_the_table_against_the_code_itself():
     with pytest.raises(ValueError, match="another code"):
         correct(st, impostor, 1, "exhaustive", trial_generator(0, 0), ref,
                 pattern_filter="phase-only", table=table)
+
+
+@pytest.mark.parametrize("t, pattern_filter", [(2, "all"),
+                                               (1, "phase-only"),
+                                               (2, "phase-only")])
+def test_correct_refuses_a_table_built_for_another_t_or_filter(
+        t, pattern_filter):
+    # the table would decode at t = 1 over every pattern, whatever was asked
+    code, ref = encoded("shor9")
+    table = build_syndrome_table(code, 1, "all")
+    with pytest.raises(ValueError, match="pattern filter"):
+        correct(decohered(ref, (0,)), code, t, "exhaustive",
+                trial_generator(0, 0), ref, pattern_filter=pattern_filter,
+                table=table)
 
 
 def test_correct_report_serializes():

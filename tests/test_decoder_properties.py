@@ -25,6 +25,8 @@ from qeclab import (apply_channel, apply_pattern, build_syndrome_table,
 from qeclab.decoder import sample_walk, sample_walks
 from qeclab.statespace import TOL_ZERO
 
+from walk_trees import Stream, left_to_right, walk_tree
+
 FILTERS = {"phase3": "phase-only", "shor9": "all", "perfect5": "all"}
 
 # derandomized, so that every run of the suite checks the same examples
@@ -115,14 +117,6 @@ def dyadic_deviates(target, n_subspaces, complete):
     return us
 
 
-class Stream:
-    def __init__(self, us):
-        self.us = list(us)
-
-    def random(self):
-        return self.us.pop(0)
-
-
 @SETTINGS
 @given(corrupted_blocks())
 def test_distribution_matches_the_dense_projector_oracle(tables, block):
@@ -133,10 +127,12 @@ def test_distribution_matches_the_dense_projector_oracle(tables, block):
     expected_e = oracle_exhaustive(M, P)
     expected_h = oracle_hierarchical(M, P, table.is_complete)
     assert np.max(np.abs(expected_e - expected_h)) <= 1e-12
-    for strategy in ("exhaustive", "hierarchical"):
-        labels, probs = syndrome_distribution(state, table, strategy)
-        assert len(labels) == len(probs) == len(table) + 1
-        assert np.max(np.abs(probs - expected_e)) <= 1e-12
+    labels, probs = syndrome_distribution(state, table)
+    assert len(labels) == len(probs) == len(table) + 1
+    assert np.max(np.abs(probs - expected_e)) <= 1e-12
+    for dyadic in (False, True):
+        tree, _ = walk_tree(probs[:-1], probs[-1], dyadic, table.is_complete)
+        assert np.max(np.abs(tree - expected_e)) <= 1e-12
 
 
 @SETTINGS
@@ -169,13 +165,6 @@ def test_scripted_walks_collapse_onto_the_oracle_projection(tables, block,
         assert len(trace) == len(us)
         assert collapsed.layout == state.layout
         assert np.max(np.abs(collapsed.matrix() - expected)) <= 1e-10
-
-
-def left_to_right(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def scalar_walk(table, p, p_none, deviate, dyadic):

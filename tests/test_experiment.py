@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,3 +193,19 @@ def test_table_texts_name_the_patterns():
     table = build_syndrome_table(load_code("shor9"), 1)
     assert table.texts == tuple(p.text() for p in table.patterns)
     assert table.labels == tuple("H[%s]" % text for text in table.texts)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t", 4, "t = 4 lies outside [0, n = 3]"),
+    ("pattern_filter", "bogus", "unknown pattern filter 'bogus'"),
+    ("logical", ["1", "x"], "bad logical amplitude"),
+    ("logical", [1, 0, 0], "logical state needs 2 amplitudes"),
+    ("channel", "decoherence:2", "|overlap| must be <= 1"),
+])
+def test_the_context_reads_each_input_into_bad_input(field, value, message):
+    # the decode weight and the pattern filter are checked by the table
+    # build alone, the rest by their readers
+    kwargs = dict(code="phase3", p=0.1, trials=2, pattern_filter="phase-only")
+    kwargs[field] = value
+    with pytest.raises(experiment.BadInput, match=re.escape(message)):
+        run_experiment(ExperimentConfig(**kwargs))
