@@ -11,6 +11,7 @@ import pytest
 
 import qeclab
 from qeclab import cli, experiment
+from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
 
@@ -454,6 +455,7 @@ def test_simulate_refuses_more_workers_than_the_cap(monkeypatch):
 _WORKER_FAILURE = """
 import os, pickle, signal, time
 from qeclab import cli, experiment
+from qeclab.codes import CATALOGUE_EXPECTATIONS
 
 run_range = experiment._ExperimentContext.run_range
 
@@ -622,6 +624,77 @@ def test_catalogue_reports_every_builtin_verdict():
     assert "perfect5,5,1,1,general,1,pass,pass" in lines
     assert "trivial1,1,1,0,general,0,pass,pass" in lines
     assert len(lines) == 1 + 18
+
+
+# sha256 of every catalogue and built-in verify output, recorded when every
+# check still went through the full Gram matrix of its pattern images; a
+# check computed another way must reproduce each byte, signed zeros
+# included, and a change here is a change to a report that must be announced
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "a8f41d9adb93b65c88c3eaebfc69016b8c161be16ad8f63e1f4c027fd2d18015"),
+    ("json", "2a7bda94ff1e63fbfffd6e84b891bdea7bcb62d8eba0829f98a5ddb73f346012"),
+])
+def test_catalogue_output_is_pinned(fmt, digest):
+    rc, out, err = run(["catalogue", "--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+VERIFY_PINS = [
+    ("phase3", "amplitude", 1, 1,
+     "63cc8b7e92383aaea33679d5891af2f0a1528b24793878af340372f0b0593225"),
+    ("phase3", "phase", 1, 0,
+     "6ef041e9a6a62527918a9eed8163a715766e38fd50d807b846daea6bbdf615b4"),
+    ("phase3", "general", 1, 1,
+     "494406c0ae86a4e812a7a7cc28c636be445ede5f45cc0ef3c1490a527329c28e"),
+    ("phase3", "phase", 3, 1,
+     "9d62c9d51c92c1169f126d00068701d258ab4047c3dc40fadfa99c1a63a301b4"),
+    ("shor9", "amplitude", 1, 0,
+     "8bb53dcf08daf61b77546d3633d17855ec59a57333ff797172499faba173d875"),
+    ("shor9", "phase", 1, 0,
+     "8df91010f79e0d83893106f353a2c8da8a7b2bfe2a3999af7a568804d183816a"),
+    ("shor9", "general", 1, 0,
+     "df040be2a747b527c1b4cd98fa7a90ce1a4ee63c8708b99a4c72d15258dd6ae1"),
+    ("shor9", "general", 2, 1,
+     "74dab9ef6cf975cb80e2a0bd6c4ade994d3d7e805682a80e800cc5f3a454315a"),
+    ("shor9", "general", 3, 1,
+     "e0578dfa3053c3ec6929a3d6833e0ed441438388dd1c2b51d8a2bccafa9f4fa9"),
+    ("perfect5", "amplitude", 1, 0,
+     "13da7e37585bbcffa85a86fee4eab352bc6021928e7de40e30ceca2435722062"),
+    ("perfect5", "phase", 1, 0,
+     "b756ff1b568c668205a920e7651a3b6ea0d5330925300133572269ae0e05f130"),
+    ("perfect5", "general", 1, 0,
+     "223ea352f1f659eb96e3bb774145dad74ca36abecf0c54af53dcd8583b1ea03f"),
+    ("perfect5", "general", 2, 1,
+     "68180b24095c5eb61cb3aa63b8bae6d1091d0738e4e0f6364d2bfa83a28ad8ed"),
+    ("trivial1", "amplitude", 0, 0,
+     "85e5c230a6165c40b85bdfeb095a2dfd1bec2cd2eea30ede919e8804150dbe5a"),
+    ("trivial1", "phase", 0, 0,
+     "c199e669a313452f10d2345325048d60c585772cbdc89b1aa7a854dd876a1303"),
+    ("trivial1", "general", 0, 0,
+     "dfd0ed71532a592f885985d7624530f8b171a583fa08fc763ff024a4aa73d15a"),
+    ("trivial1", "amplitude", 1, 1,
+     "94c522bd446ae697d6febce5751701e2938b421df2431360f20f65c52bd32c54"),
+    ("trivial1", "phase", 1, 1,
+     "57b9a64497ddd62c550352bcbd2ff1693e0bd42481ff1cd01d4d172bde444952"),
+    ("trivial1", "general", 1, 1,
+     "827f1910e76c59331747df32aaa2f1fb57756c827a085d78bc1f66c6a6703573"),
+]
+
+
+@pytest.mark.parametrize("name, condition, t, rc, digest", VERIFY_PINS)
+def test_verify_output_is_pinned(name, condition, t, rc, digest):
+    got_rc, out, err = run(["verify", "--code", name, "--condition",
+                            condition, "--t", str(t)])
+    assert got_rc == rc
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_verify_cases_cover_the_catalogue():
+    pinned = {pin[:3] for pin in VERIFY_PINS}
+    assert pinned >= {(name, condition, t)
+                      for name, rows in CATALOGUE_EXPECTATIONS.items()
+                      for condition, t, _ in rows}
 
 
 # -- shared plumbing ---------------------------------------------------------------
