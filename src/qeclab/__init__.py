@@ -21,8 +21,8 @@ from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
                     ConditionReport, QuantumCode, catalogue,
                     check_amplitude_condition, check_general_condition,
                     check_phase_condition, code_from_dict, code_to_dict,
-                    encode, extract_component, load_code, run_checker,
-                    save_code, synthesize_encoder)
+                    encode, load_code, run_checker, save_code,
+                    synthesize_encoder)
 from .channels import (QubitChannel, apply_channel, channel_from_dict,
                        channel_to_dict, identity_channel, is_valid,
                        load_channel, make_decoherence, random_channel,

@@ -32,6 +32,7 @@ channels, never on the transported state.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -107,6 +108,8 @@ def make_decoherence(overlap):
     decoherence (orthogonal environment markers).
     """
     overlap = complex(overlap)
+    if not cmath.isfinite(overlap):
+        raise ValueError("overlap must be finite, got %r" % overlap)
     if abs(overlap) > 1.0 + 1e-15:
         raise ValueError("|overlap| must be <= 1, got %r" % overlap)
     ortho = math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2))

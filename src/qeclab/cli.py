@@ -213,18 +213,12 @@ def cmd_simulate(args):
     logical = args.logical
     if logical != "random":
         logical = [s.strip() for s in logical.split(",")]
-    qubits = args.qubits
-    if qubits != "all":
-        try:
-            qubits = [int(s) for s in qubits.split(",")]
-        except ValueError:
-            raise BadInput("--qubits must be 'all' or a comma list of ints")
     try:
         config = ExperimentConfig(
-            code=args.code, p=args.p, channel=args.channel, qubits=qubits,
-            trials=args.trials, seed=args.seed, strategy=args.strategy,
-            logical=logical, pattern_filter=args.filter, t=args.t,
-            max_active=args.max_active)
+            code=args.code, p=args.p, channel=args.channel,
+            qubits=args.qubits, trials=args.trials, seed=args.seed,
+            strategy=args.strategy, logical=logical,
+            pattern_filter=args.filter, t=args.t, max_active=args.max_active)
     except ValueError as exc:
         raise BadInput(str(exc))
     records, summary = run_experiment(config, workers=args.workers)

@@ -12,6 +12,25 @@ the images {A_a P_b |C^k>} form an orthonormal family, which is exactly what
 projective syndrome decoding needs; the amplitude and phase conditions are
 its two axis-aligned special cases.
 
+A check has R = 2^l V_t images, V_t the patterns it ranges over, and the
+quantum Hamming bound R <= 2^n decides how it is computed:
+
+* within the bound, from the R x R Gram matrix of the images, which a
+  passing check's syndrome table then takes as its bases;
+* past it, where R orthonormal images cannot fit into 2^n dimensions and
+  the check fails, from the overlaps <C^j|E|C^k> over the products E of
+  two patterns, the patterns of union weight <= 2t (the Knill-Laflamme form
+  of the same criterion). One Walsh-Hadamard transform per amplitude part
+  of E gives every phase part at once, and no image is built. The report,
+  its capped violation list included, is the one the Gram matrix gives.
+
+A check whose images, or overlaps past the bound, would number more than
+GRAM_MAX_ENTRIES = 2^26 is refused with ValueError before it enumerates a
+pattern. shor9's general check is past the bound from t = 2 on; at t = 3
+(5240 image rows) it takes about 35 ms and at t = 4 (25652 rows, a 9.8 GiB
+Gram matrix) about 40 ms, where the Gram matrix took about 1.5-2 s at t = 3
+and was refused at t = 4.
+
 The built-in catalogue ships four codes as literal dyadic amplitude data:
 
 * ``phase3``   n=3, l=1 -- corrects one phase error (not amplitude errors)
@@ -33,17 +52,22 @@ import numpy as np
 
 from .bitstrings import BitString
 from .bounds import sphere_volume
-from .errors import ErrorPattern, apply_phase, \
-    enumerate_bitstrings_by_weight, enumerate_patterns
+from .errors import PAULI_CHOICES, ErrorPattern, key_indices, pattern_keys
 from .statespace import DIM_CAP, TOL_NORM, FactorLayout, PureState
 
 CHECK_TOL = 1e-9
 _VIOLATION_CAP = 64
 
-#: Most entries a Gram check may hold in one array: R x 2^n pattern images
-#: and their R x R Gram matrix, R image rows. 2^26 complex entries take
-#: 1 GiB; shor9 at t = 3 (5240 rows) fits, at t = 4 (25652 rows) it does not.
+#: Most entries a check may compute: the R x 2^n pattern images of a check
+#: within the quantum Hamming bound (R <= 2^n, so their Gram matrix is no
+#: larger), or the overlaps <C^j|E|C^k> of one past it. 2^26 complex entries
+#: take 1 GiB.
 GRAM_MAX_ENTRIES = 1 << 26
+
+#: condition -> per affected qubit, the (alpha_i, beta_i) choices of its
+#: patterns
+_CHOICES = {"general": PAULI_CHOICES, "phase": ((0, 1),),
+            "amplitude": ((1, 0),)}
 
 BUILTIN_CODES = ("phase3", "shor9", "perfect5", "trivial1")
 
@@ -173,13 +197,8 @@ class ConditionError(Exception):
 def condition_patterns(n, t, condition):
     """The patterns a condition ranges over at weight t, canonically ordered:
     amplitude-only, phase-only, or (general) all of union weight <= t."""
-    if condition == "general":
-        return enumerate_patterns(n, t)
-    zeros = BitString.zeros(n)
-    parts = enumerate_bitstrings_by_weight(n, t)
-    if condition == "phase":
-        return [ErrorPattern(zeros, b) for b in parts]
-    return [ErrorPattern(a, zeros) for a in parts]
+    return [ErrorPattern.from_key(key, n)
+            for key in pattern_keys(n, t, _CHOICES[condition]).tolist()]
 
 
 def pattern_images(code, patterns):
@@ -202,19 +221,163 @@ def pattern_images(code, patterns):
     return rows.reshape(-1, C.shape[1])
 
 
+def product_pairs(n, t, condition):
+    """pairs[w]: the ordered pairs (P, Q) of patterns the condition ranges
+    over at weight t whose product A_(a_P+a_Q) P_(b_P+b_Q) is one given
+    pattern E of union weight w, for w = 0 .. min(2t, n).
+
+    On a qubit E affects, P alone, Q alone, or both act (both in q - 1 ways,
+    q the choices per affected qubit: 3 general, 1 otherwise); on m of the
+    n - w others both act alike, in q^m ways. P and Q each affect at most t
+    qubits.
+    """
+    q = len(_CHOICES[condition])
+    pairs = []
+    for w in range(min(2 * t, n) + 1):
+        total = 0
+        for both in range(w + 1):
+            for only_p in range(w - both + 1):
+                spare = t - both - max(only_p, w - both - only_p)
+                total += (math.comb(w, both) * math.comb(w - both, only_p)
+                          * (q - 1) ** both
+                          * sum(math.comb(n - w, m) * q ** m
+                                for m in range(min(spare, n - w) + 1)))
+        pairs.append(total)
+    return pairs
+
+
+def _sylvester(N):
+    """The N x N Walsh-Hadamard matrix H[d, u] = (-1)^(d.u), N = 2^m."""
+    u = np.arange(N)
+    return 1.0 - 2.0 * (np.bitwise_count(u[:, np.newaxis] & u) & 1)
+
+
+def _walsh_hadamard(F):
+    """sum_u (-1)^(d.u) F[..., u] for every d along the last axis, of length
+    2^m, as two real products: u = u1 2^(m//2) + u2, and the sign splits
+    into a u2 part and a u1 part."""
+    shape, dtype = F.shape, F.dtype
+    m = shape[-1].bit_length() - 1
+    N1, H2 = 1 << (m - m // 2), _sylvester(1 << m // 2)
+    if np.iscomplexobj(F):  # real and imaginary parts side by side
+        F, H2 = F.view(np.float64), np.kron(H2, np.eye(2))
+    X = F.reshape(-1, len(H2)) @ H2
+    X = np.matmul(_sylvester(N1), X.reshape(-1, N1, len(H2)))
+    return X.reshape(-1).view(dtype).reshape(shape)
+
+
+def _refuse_over_cap(entries, what, condition, t):
+    if entries > GRAM_MAX_ENTRIES:
+        raise ValueError("the %s condition at t = %d needs %s, over the "
+                         "cap of %d entries"
+                         % (condition, t, what, GRAM_MAX_ENTRIES))
+
+
+def _ball_report(code, condition, t):
+    """The report of a check with more image rows than amplitudes, from the
+    overlaps T[E]_jk = <C^j|E|C^k> over the products E = P Q of its
+    patterns, which are the patterns of union weight <= 2t (Knill and
+    Laflamme, PRA 55, 900, 1997), without any image or Gram matrix.
+
+    Gram entry ((P, j), (Q, k)) is (-1)^(b_Q.c) T[c, d, j, k] for E = (c, d)
+    = (a_P + a_Q, b_P + b_Q), and its target is delta_E,I delta_jk. So the
+    worst deviation is the ball's, the violation count weighs each E by
+    product_pairs, and the first _VIOLATION_CAP violations come from walking
+    the Gram's rows (P, j) in order through T.
+    """
+    n, w2 = code.n, min(2 * t, code.n)
+    N, K = 1 << n, 1 << code.l
+    u = np.arange(N)
+    # amplitude parts c and phase parts d of the ball's products
+    cs = u[:1] if condition == "phase" else u[np.bitwise_count(u) <= w2]
+    ds = u[:1] if condition == "amplitude" else u
+    _refuse_over_cap(len(cs) * len(ds) * K * K,
+                     "%d overlaps <C^j|E|C^k> over its 2t-ball"
+                     % (len(cs) * len(ds) * K * K), condition, t)
+    C = code.matrix()
+    if not C.imag.any():  # a real code's overlaps are real: half the work
+        C = C.real
+    worst = 0.0
+    per_weight = np.zeros(n + 1)  # violating (E, j, k) by the weight of E
+    found = []  # per chunk: violating (c, d), and (k, j) violations at each
+    step = max(1, (1 << 16) // (len(ds) * K * K))  # c values per chunk
+    for lo in range(0, len(cs), step):
+        c = cs[lo:lo + step]
+        # F[k, i, j, u] = conj(C^j[u]) C^k[u + c_i]; T[k, i, j, d] sums it
+        # against (-1)^(d.u), for d = 0 alone under the amplitude condition
+        F = (np.take(C, u ^ c[:, np.newaxis], axis=1)[:, :, np.newaxis]
+             * C.conj())
+        T = (F.sum(axis=-1, keepdims=True) if condition == "amplitude"
+             else _walsh_hadamard(F))
+        dev = np.abs(T)
+        if lo == 0:  # E = I, where <C^j|C^k> should be delta_jk
+            j = np.arange(K)
+            dev[j, 0, j, 0] = np.abs(T[j, 0, j, 0] - 1)
+        weight = np.bitwise_count(c[:, np.newaxis] | ds)
+        inside = weight <= w2
+        worst = max(worst, float(dev.max(axis=(0, 2))[inside].max()))
+        bad = dev > CHECK_TOL
+        counts = np.where(inside, np.count_nonzero(bad, axis=(0, 2)), 0)
+        per_weight += np.bincount(weight.ravel(), counts.ravel(), n + 1)
+        ci, di = np.nonzero(counts)
+        found.append((c[ci], ds[di], bad[:, ci, :, di], T[:, ci, :, di]))
+    count = sum(pairs * int(k) for pairs, k
+                in zip(product_pairs(n, t, condition), per_weight))
+
+    # walk the rows P in order along the violating products E = (pc, pd)
+    pc, pd, product_bad, product_T = map(np.concatenate, zip(*found))
+    keys = pattern_keys(n, t, _CHOICES[condition])
+    beta = key_indices(keys, n)[1]
+    reverse = key_indices(u, n)[0]  # basis index <-> key bits
+    product_keys = reverse[pc] | (reverse[pd] << n)
+    rows = []  # (P, j, Q, k, E) in the Gram's row-major order
+    chunk = max(1, (1 << 16) // max(len(product_keys), 1))
+    for start in range(0, len(keys), chunk):
+        P = np.arange(start, min(start + chunk, len(keys)))
+        q_keys = keys[P, np.newaxis] ^ product_keys
+        Q = np.minimum(np.searchsorted(keys, q_keys), len(keys) - 1)
+        p, e = np.nonzero(keys[Q] == q_keys)
+        h, k, j = np.nonzero(product_bad[e])
+        P_h, Q_h, E_h = P[p[h]], Q[p[h], e[h]], e[h]
+        first = np.lexsort((k, Q_h, j, P_h))[:_VIOLATION_CAP - len(rows)]
+        rows.extend(zip(P_h[first].tolist(), j[first].tolist(),
+                        Q_h[first].tolist(), k[first].tolist(),
+                        E_h[first].tolist()))
+        if len(rows) == _VIOLATION_CAP:
+            break
+    patterns = {}
+    violations = []
+    for P, j, Q, k, e in rows:
+        for i in (P, Q):
+            if i not in patterns:
+                patterns[i] = ErrorPattern.from_key(keys[i], n)
+        value = complex(product_T[e, k, j])
+        if np.bitwise_count(beta[Q] & pc[e]) & 1:
+            value = -value
+        # positive zeros, as a Gram product of real images gives them
+        violations.append((j, k, patterns[P], patterns[Q],
+                           complex(value.real + 0.0, value.imag + 0.0)))
+    return ConditionReport(condition, t, violations, count, worst)
+
+
 def _gram_check(code, condition, t):
-    """Check one condition at weight t from the Gram matrix of its pattern
-    images: (ConditionReport, patterns, images)."""
+    """Check one condition at weight t: (ConditionReport, patterns, images).
+
+    A check with more image rows R = 2^l V_t than amplitudes 2^n breaks the
+    quantum Hamming bound and cannot pass: its report comes from the 2t-ball
+    (_ball_report), and patterns and images are None. Any other check
+    builds its images and their Gram matrix, and a passing one's syndrome
+    table takes those images as its bases.
+    """
     if not 0 <= t <= code.n:
         raise ValueError("t = %d lies outside [0, n = %d]" % (t, code.n))
     # image rows, counted before any pattern is enumerated
     R = (sphere_volume(code.n, t) if condition == "general" else
          sum(math.comb(code.n, i) for i in range(t + 1))) << code.l
-    if R * max(R, 1 << code.n) > GRAM_MAX_ENTRIES:
-        raise ValueError("the %s condition at t = %d has %d pattern images "
-                         "of 2^%d amplitudes; their Gram check would exceed "
-                         "the cap of %d entries"
-                         % (condition, t, R, code.n, GRAM_MAX_ENTRIES))
+    if R > 1 << code.n:
+        return _ball_report(code, condition, t), None, None
+    _refuse_over_cap(R << code.n, "%d pattern images of 2^%d amplitudes "
+                     "and their Gram matrix" % (R, code.n), condition, t)
     patterns = condition_patterns(code.n, t, condition)
     K = 1 << code.l
     B = pattern_images(code, patterns)
@@ -324,41 +487,6 @@ def encode(code, logical):
     out = encode_stack(code, logical.amps.reshape(1, -1))[0]
     return PureState._trusted(FactorLayout(code.n), out,
                               normalized=logical.is_normalized)
-
-
-def extract_component(code_vector, affected, gamma):
-    """The piece of a block vector whose `affected`-qubit bits equal gamma.
-
-    Computed as the phase-projector combination
-    2^-m * sum_b (-1)^(gamma.b) P_b |C>, with b ranging over all patterns
-    supported inside `affected` (m = |affected|); this equals filtering the
-    basis expansion by the prefix gamma. Returned unnormalized; summing over
-    all gamma reassembles the input.
-    """
-    affected = list(affected)
-    if not isinstance(gamma, BitString):
-        gamma = BitString.from_text(gamma)
-    if len(affected) != len(gamma):
-        raise ValueError("|affected| = %d but gamma has length %d"
-                         % (len(affected), len(gamma)))
-    n = code_vector.qubit_count
-    if any(not 0 <= q < n for q in affected):
-        raise ValueError("affected positions out of range")
-    if len(set(affected)) != len(affected):
-        raise ValueError("affected positions repeat")
-    m = len(affected)
-    acc = np.zeros_like(code_vector.amps)
-    for mask in range(1 << m):
-        bits = [0] * n
-        sign_exp = 0
-        for j in range(m):
-            bit = (mask >> j) & 1
-            bits[affected[j]] = bit
-            sign_exp ^= bit & gamma[j]
-        term = apply_phase(BitString(bits), code_vector).amps
-        acc = acc + ((-1.0) ** sign_exp) * term
-    acc /= float(1 << m)
-    return PureState(code_vector.layout, acc, normalized=False)
 
 
 # -- code files and catalogue -------------------------------------------------

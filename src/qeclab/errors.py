@@ -20,8 +20,6 @@ file outputs, and measurement walks all inherit this order.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-
 import numpy as np
 
 from .bitstrings import BitString, union_weight
@@ -49,6 +47,13 @@ class ErrorPattern:
     @classmethod
     def zero(cls, n):
         return cls(BitString.zeros(n), BitString.zeros(n))
+
+    @classmethod
+    def from_key(cls, key, n):
+        """Inverse of :meth:`sort_key` for patterns on n qubits."""
+        key = int(key)
+        return cls(BitString((key >> i) & 1 for i in range(n)),
+                   BitString((key >> (n + i)) & 1 for i in range(n)))
 
     @classmethod
     def from_text(cls, text):
@@ -134,20 +139,47 @@ def apply_pattern(pattern, state):
 
 # -- enumeration ---------------------------------------------------------------
 
-def enumerate_bitstrings_by_weight(n, t):
-    """All length-n tuples of weight <= t in canonical (little-endian) order."""
+#: per affected qubit, the (alpha_i, beta_i) choices of a general pattern:
+#: sigma_x, sigma_z and sigma_y
+PAULI_CHOICES = ((1, 0), (0, 1), (1, 1))
+
+
+def pattern_keys(n, t, choices=PAULI_CHOICES):
+    """Canonical keys (ErrorPattern.sort_key) of every pattern of union
+    weight <= t whose affected qubits each take one of `choices`, ascending:
+    the canonical order as one int64 array."""
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    out = []
-    for w in range(t + 1):
-        for pos in combinations(range(n), w):
-            bits = [0] * n
-            for p in pos:
-                bits[p] = 1
-            out.append(BitString(bits))
-    key = lambda bs: sum(b << i for i, b in enumerate(bs.bits))
-    out.sort(key=key)
-    return out
+    qubits = np.arange(n, dtype=np.int64)
+    # steps[q] holds the key bits of each choice on qubit q
+    steps = np.stack([(x << qubits) | (z << (n + qubits))
+                      for x, z in choices], axis=1)
+    keys = np.zeros(1, dtype=np.int64)
+    last = np.full(1, -1)  # each key's highest affected qubit
+    levels = [keys]
+    for _ in range(t):  # weight w + 1 from weight w, one new top qubit each
+        i, q = np.nonzero(last[:, np.newaxis] < qubits)
+        keys = (keys[i, np.newaxis] | steps[q]).ravel()
+        last = np.repeat(q, len(choices))
+        levels.append(keys)
+    return np.sort(np.concatenate(levels))
+
+
+def key_indices(keys, n):
+    """(alpha, beta) of canonical keys as basis-state indices, position 0
+    the most significant bit (BitString.to_index), one array each."""
+    alpha = np.zeros_like(keys)
+    beta = np.zeros_like(keys)
+    for q in range(n):
+        alpha |= ((keys >> q) & 1) << (n - 1 - q)
+        beta |= ((keys >> (n + q)) & 1) << (n - 1 - q)
+    return alpha, beta
+
+
+def enumerate_bitstrings_by_weight(n, t):
+    """All length-n tuples of weight <= t in canonical (little-endian) order."""
+    return [ErrorPattern.from_key(key, n).alpha
+            for key in pattern_keys(n, t, ((1, 0),)).tolist()]
 
 
 def enumerate_patterns(n, t):
@@ -157,17 +189,5 @@ def enumerate_patterns(n, t):
     (0,1), (1,1) -- sigma_x, sigma_z, sigma_y -- so the count is
     sum_{i<=t} 3^i C(n,i). The all-zero pattern comes first.
     """
-    if not 0 <= t <= n:
-        raise ValueError("need 0 <= t <= n")
-    pats = []
-    for w in range(t + 1):
-        for pos in combinations(range(n), w):
-            for choices in product(((1, 0), (0, 1), (1, 1)), repeat=w):
-                a = [0] * n
-                b = [0] * n
-                for p, (ai, bi) in zip(pos, choices):
-                    a[p] = ai
-                    b[p] = bi
-                pats.append(ErrorPattern(BitString(a), BitString(b)))
-    pats.sort(key=ErrorPattern.sort_key)
-    return pats
+    return [ErrorPattern.from_key(key, n)
+            for key in pattern_keys(n, t).tolist()]

@@ -51,6 +51,7 @@ import contextlib
 import ctypes
 import glob
 import math
+import operator
 import os
 import pickle
 import signal
@@ -121,8 +122,17 @@ class ExperimentConfig:
         self.code = code
         self.p = float(p)
         self.channel = channel
-        self.qubits = qubits if qubits == "all" else tuple(
-            sorted(int(q) for q in qubits))
+        if qubits != "all":
+            if isinstance(qubits, str):
+                qubits = qubits.split(",")
+            try:
+                qubits = tuple(sorted(
+                    int(q) if isinstance(q, str) else operator.index(q)
+                    for q in qubits))
+            except (TypeError, ValueError):
+                raise BadInput("--qubits must be 'all' or a comma list of "
+                               "ints")
+        self.qubits = qubits
         self.trials = int(trials)
         self.seed = int(seed)
         self.strategy = strategy

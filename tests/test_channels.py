@@ -77,6 +77,9 @@ def test_make_decoherence_family():
         assert np.vdot(ch.a00, ch.a11) == pytest.approx(overlap)
     with pytest.raises(ValueError):
         make_decoherence(1.0000001)
+    for overlap in (float("nan"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError, match="overlap must be finite"):
+            make_decoherence(overlap)
 
 
 def test_identity_channel_leaves_state_alone():

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qeclab
-from qeclab import cli, experiment
+from qeclab import PureState, QuantumCode, cli, experiment, save_code
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
@@ -57,18 +57,42 @@ def test_verify_bad_t_exits_two():
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--code", "shor9", "--t", "4"],
-    ["simulate", "--code", "shor9", "--t", "4", "--max-active", "2",
-     "--p", "0.1"],
-])
-def test_a_gram_check_too_large_to_hold_exits_two(argv):
-    # 25652 image rows: a 9.8 GiB Gram matrix
-    rc, out, err = run(argv)
-    assert rc == 2
+def test_verify_past_the_hamming_bound_exits_one_with_a_report():
+    # 25652 image rows of 2^9 amplitudes: a 9.8 GiB Gram matrix, answered
+    # from the 2t-ball instead
+    rc, out, err = run(["verify", "--code", "shor9", "--t", "4"])
+    assert rc == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["t"] == 4
+    assert payload["violation_count"] > 0
+    assert len(payload["violations"]) == 64
+
+
+def test_simulate_past_the_hamming_bound_exits_one_through_its_report():
+    rc, out, err = run(["simulate", "--code", "shor9", "--t", "4",
+                        "--max-active", "2", "--p", "0.1"])
+    assert rc == 1
     assert out == ""
-    assert err.startswith("error: the general condition at t = 4 has 25652 ")
-    assert err.count("\n") == 1
+    report, _, message = err.rpartition("}\n")
+    assert json.loads(report + "}")["passed"] is False
+    assert message.startswith("error: ConditionReport(general, t=4: FAIL")
+
+
+def test_a_check_over_the_cap_exits_two(tmp_path):
+    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
+    path = tmp_path / "rep16.json"
+    save_code(QuantumCode("rep16", 16, 1, 1,
+                          [PureState.basis_state(zeros),
+                           PureState.basis_state(ones)]), path)
+    for t in ("3", "4"):  # a Gram matrix, then a 2t-ball, over the cap
+        rc, out, err = run(["verify", "--code", str(path), "--t", t])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: the general condition at t = %s "
+                              "needs " % t)
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,6 +438,26 @@ def test_simulate_refuses_a_repeated_qubit():
     assert "qubit list repeats an index" in err
 
 
+def test_simulate_refuses_a_qubit_list_that_is_not_ints():
+    rc, out, err = run(["simulate", "--code", "shor9", "--channel", "random:2",
+                        "--qubits", "0,x", "--p", "0.5", "--trials", "3"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --qubits must be 'all' or a comma list of ints\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.1", "--channel", "decoherence:nan"],
+    ["demo3", "--overlap", "nan"],
+])
+def test_a_nan_overlap_is_refused_by_name(argv):
+    rc, out, err = run(argv)
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: bad overlap in channel spec 'decoherence:nan': "
+                   "overlap must be finite, got (nan+0j)\n")
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_refuses_fewer_than_one_worker(workers):
     # in a child process, so that a hang fails the test at its timeout
@@ -454,7 +498,7 @@ def test_simulate_refuses_more_workers_than_the_cap(monkeypatch):
 #: process is left
 _WORKER_FAILURE = """
 import os, pickle, signal, time
-from qeclab import cli, experiment
+from qeclab import PureState, QuantumCode, cli, experiment, save_code
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 
 run_range = experiment._ExperimentContext.run_range

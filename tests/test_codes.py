@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from qeclab import codes
 from qeclab import (
     BUILTIN_CODES,
     CATALOGUE_EXPECTATIONS,
-    BitString,
     ErrorPattern,
     PureState,
     QuantumCode,
@@ -16,7 +17,6 @@ from qeclab import (
     code_from_dict,
     code_to_dict,
     encode,
-    extract_component,
     inner,
     load_code,
     run_checker,
@@ -64,27 +64,49 @@ def test_condition_checker_verdicts(name):
             assert report.violation_count > 0
 
 
-@pytest.mark.parametrize("condition, t, refused", [
-    ("general", 3, False),   # 5240 image rows, 27.5e6 Gram entries
-    ("general", 4, True),    # 25652 image rows, 658e6 Gram entries
-    ("phase", 9, False),     # 1024 image rows, twice 2^n
+def rep16():
+    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
+    return QuantumCode("rep16", 16, 1, 1, [PureState.basis_state(zeros),
+                                           PureState.basis_state(ones)])
+
+
+@pytest.mark.parametrize("condition, t, gram", [
+    ("general", 1, True),    # 56 image rows of 2^9 amplitudes
+    ("phase", 9, False),     # 1024 image rows, twice 2^9
+    ("general", 3, False),   # 5240 image rows
+    ("general", 4, False),   # 25652 image rows, a 9.8 GiB Gram matrix
 ])
-def test_gram_check_refuses_before_enumerating_what_it_cannot_hold(
-        monkeypatch, condition, t, refused):
+def test_only_a_check_within_the_hamming_bound_builds_images(
+        monkeypatch, condition, t, gram):
     def no_images(code, patterns):
-        raise LookupError("enumerated %d patterns" % len(patterns))
+        raise LookupError("built %d pattern images" % len(patterns))
 
     monkeypatch.setattr(codes, "pattern_images", no_images)
-    if refused:
-        monkeypatch.setattr(codes, "condition_patterns", None)
-    with pytest.raises(ValueError if refused else LookupError):
-        run_checker(load_code("shor9"), condition, t)
+    if gram:
+        with pytest.raises(LookupError):
+            run_checker(load_code("shor9"), condition, t)
+    else:
+        report = run_checker(load_code("shor9"), condition, t)
+        assert not report.passed
+        assert len(report.violations) == 64
+
+
+@pytest.mark.parametrize("condition, t, needs", [
+    # 32498 image rows of 2^16 amplitudes, within the Hamming bound
+    ("general", 3, "32498 pattern images of 2^16 amplitudes"),
+    # past it: c of weight <= 8 (39203 of them), every d, 2 x 2 (j, k)
+    ("general", 4, "%d overlaps" % (39203 << 18)),
+])
+def test_a_check_over_the_cap_is_refused_before_it_enumerates(
+        monkeypatch, condition, t, needs):
+    monkeypatch.setattr(codes, "pattern_keys", None)
+    monkeypatch.setattr(codes, "condition_patterns", None)
+    with pytest.raises(ValueError, match=re.escape("needs " + needs)):
+        run_checker(rep16(), condition, t)
 
 
 def test_gram_check_runs_a_16_qubit_code():
-    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
-    code = QuantumCode("rep16", 16, 1, 1, [PureState.basis_state(zeros),
-                                           PureState.basis_state(ones)])
+    code = rep16()
     assert run_checker(code, "amplitude", 1).passed
     assert not run_checker(code, "phase", 1).passed
 
@@ -162,55 +184,6 @@ def test_encode_validates_logical_shape():
         encode(code, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         encode(code, PureState.basis_state("(00)"))
-
-
-def test_extract_component_filters_basis_prefix():
-    code = load_code("phase3")
-    c0 = code.vectors[0]  # (|000>+|011>+|101>+|110>)/2
-    part0 = extract_component(c0, [0], "(0)")
-    part1 = extract_component(c0, [0], "(1)")
-    expected0 = np.zeros(8, dtype=complex)
-    expected0[[0b000, 0b011]] = 0.5
-    expected1 = np.zeros(8, dtype=complex)
-    expected1[[0b101, 0b110]] = 0.5
-    assert np.allclose(part0.amps, expected0)
-    assert np.allclose(part1.amps, expected1)
-
-
-def test_extract_component_sums_back_to_input():
-    code = load_code("perfect5")
-    vec = code.vectors[1]
-    pieces = [
-        extract_component(vec, [1, 3], BitString.from_index(g, 2))
-        for g in range(4)
-    ]
-    total = sum(p.amps for p in pieces)
-    assert np.allclose(total, vec.amps, atol=1e-12)
-
-
-def test_extract_component_matches_direct_bit_filter():
-    code = load_code("shor9")
-    vec = code.vectors[0]
-    affected = [2, 5]
-    gamma = BitString.from_text("(10)")
-    got = extract_component(vec, affected, gamma)
-    mask = np.ones(1 << 9, dtype=bool)
-    for q, g in zip(affected, gamma):
-        bit = (np.arange(1 << 9) >> (9 - 1 - q)) & 1
-        mask &= bit == g
-    expected = np.where(mask, vec.amps.ravel(), 0.0)
-    assert np.allclose(got.amps.ravel(), expected, atol=1e-12)
-
-
-def test_extract_component_validates_inputs():
-    code = load_code("phase3")
-    vec = code.vectors[0]
-    with pytest.raises(ValueError):
-        extract_component(vec, [0, 0], "(00)")
-    with pytest.raises(ValueError):
-        extract_component(vec, [3], "(0)")
-    with pytest.raises(ValueError):
-        extract_component(vec, [0, 1], "(0)")
 
 
 def test_pattern_images_stay_inside_block():

@@ -201,6 +201,10 @@ def test_table_texts_name_the_patterns():
     ("logical", ["1", "x"], "bad logical amplitude"),
     ("logical", [1, 0, 0], "logical state needs 2 amplitudes"),
     ("channel", "decoherence:2", "|overlap| must be <= 1"),
+    ("channel", "decoherence:nan", "overlap must be finite, got (nan+0j)"),
+    ("qubits", ["x"], "--qubits must be 'all' or a comma list of ints"),
+    ("qubits", [0, 1.5], "--qubits must be 'all' or a comma list of ints"),
+    ("qubits", "0,x", "--qubits must be 'all' or a comma list of ints"),
 ])
 def test_the_context_reads_each_input_into_bad_input(field, value, message):
     # the decode weight and the pattern filter are checked by the table
