@@ -26,10 +26,10 @@ quantum Hamming bound R <= 2^n decides how it is computed:
 
 A check whose images, or overlaps past the bound, would number more than
 GRAM_MAX_ENTRIES = 2^26 is refused with ValueError before it enumerates a
-pattern. shor9's general check is past the bound from t = 2 on; at t = 3
-(5240 image rows) it takes about 35 ms and at t = 4 (25652 rows, a 9.8 GiB
-Gram matrix) about 40 ms, where the Gram matrix took about 1.5-2 s at t = 3
-and was refused at t = 4.
+pattern. shor9's general check is past the bound from t = 2 on: `verify`
+takes about 30 ms at t = 3 (5240 image rows, about 1.6 s through the Gram
+matrix) and 30-40 ms at t = 4 (25652 rows, a 9.8 GiB Gram matrix) on a
+2-vCPU Xeon VM.
 
 The built-in catalogue ships four codes as literal dyadic amplitude data:
 

@@ -12,6 +12,7 @@ product pattern in the count, is checked against counting pattern pairs.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,19 @@ def gram_oracle(code, condition, t):
     return rows, count, worst
 
 
+def random_code(n, l, rng, size, complex_amplitudes):
+    """A random orthonormal code supported on `size` random basis states."""
+    dim = 1 << n
+    block = rng.standard_normal((size, 1 << l))
+    if complex_amplitudes:
+        block = block + 1j * rng.standard_normal((size, 1 << l))
+    q, _ = np.linalg.qr(block)
+    vectors = np.zeros((dim, 1 << l), dtype=np.complex128)
+    vectors[rng.permutation(dim)[:size]] = q
+    return QuantumCode("random", n, l, 0,
+                       [PureState.from_amplitudes(n, v) for v in vectors.T])
+
+
 @st.composite
 def random_checks(draw):
     """A random orthonormal code, complex or real, supported on a random set
@@ -64,18 +78,11 @@ def random_checks(draw):
     n = draw(st.integers(1, 5))
     l = draw(st.integers(0, min(n, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dim, size = 1 << n, draw(st.integers(1 << l, 1 << n))
-    block = rng.standard_normal((size, 1 << l))
-    if draw(st.booleans()):
-        block = block + 1j * rng.standard_normal((size, 1 << l))
-    q, _ = np.linalg.qr(block)
-    vectors = np.zeros((dim, 1 << l), dtype=np.complex128)
-    vectors[rng.permutation(dim)[:size]] = q
-    code = QuantumCode("random", n, l, 0,
-                       [PureState.from_amplitudes(n, v) for v in vectors.T])
+    code = random_code(n, l, rng, draw(st.integers(1 << l, 1 << n)),
+                       draw(st.booleans()))
     condition, t = draw(st.sampled_from(
         [(c, t) for c in CONDITIONS for t in range(n + 1)
-         if image_rows(n, l, t, c) > dim]))
+         if image_rows(n, l, t, c) > 1 << n]))
     return code, condition, t
 
 
@@ -96,6 +103,24 @@ def assert_matches_oracle(code, condition, t):
 def test_a_check_past_the_hamming_bound_reports_what_its_gram_matrix_does(
         case):
     assert_matches_oracle(*case)
+
+
+#: every check past the Hamming bound with n <= 5, l <= 2 whose products
+#: leave some qubit untouched (2t < n), so that the ball is a proper part of
+#: the overlaps a transform computes
+SHORT_PRODUCTS = [(n, l, c, t)
+                  for n in range(1, 6) for l in range(min(n, 2) + 1)
+                  for c in CONDITIONS for t in range(n + 1)
+                  if 2 * t < n and image_rows(n, l, t, c) > 1 << n]
+
+
+@pytest.mark.parametrize("complex_amplitudes", [False, True])
+@pytest.mark.parametrize("n, l, condition, t", SHORT_PRODUCTS)
+def test_a_check_whose_products_miss_a_qubit_matches_the_oracle(
+        n, l, condition, t, complex_amplitudes):
+    rng = np.random.default_rng([n, l, t, complex_amplitudes])
+    assert_matches_oracle(random_code(n, l, rng, 1 << n, complex_amplitudes),
+                          condition, t)
 
 
 def test_catalogue_checks_past_the_hamming_bound_match_the_oracle():

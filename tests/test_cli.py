@@ -86,13 +86,16 @@ def test_a_check_over_the_cap_exits_two(tmp_path):
     save_code(QuantumCode("rep16", 16, 1, 1,
                           [PureState.basis_state(zeros),
                            PureState.basis_state(ones)]), path)
-    for t in ("3", "4"):  # a Gram matrix, then a 2t-ball, over the cap
-        rc, out, err = run(["verify", "--code", str(path), "--t", t])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error: the general condition at t = %s "
-                              "needs " % t)
-        assert err.count("\n") == 1
+    # a Gram matrix, then a 2t-ball, over the cap, from either command
+    for t in ("3", "4"):
+        for argv in (["verify"], ["simulate", "--p", "0.1", "--max-active",
+                                  "0", "--trials", "1"]):
+            rc, out, err = run(argv + ["--code", str(path), "--t", t])
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error: the general condition at t = %s "
+                                  "needs " % t)
+            assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
