@@ -291,9 +291,9 @@ def _ball_report(code, condition, t):
     # amplitude parts c and phase parts d of the ball's products
     cs = u[:1] if condition == "phase" else u[np.bitwise_count(u) <= w2]
     ds = u[:1] if condition == "amplitude" else u
-    _refuse_over_cap(len(cs) * len(ds) * K * K,
-                     "%d overlaps <C^j|E|C^k> over its 2t-ball"
-                     % (len(cs) * len(ds) * K * K), condition, t)
+    overlaps = len(cs) * len(ds) * K * K
+    _refuse_over_cap(overlaps, "%d overlaps <C^j|E|C^k> over its 2t-ball"
+                     % overlaps, condition, t)
     C = code.matrix()
     if not C.imag.any():  # a real code's overlaps are real: half the work
         C = C.real
