@@ -21,8 +21,10 @@ quantum Hamming bound R <= 2^n decides how it is computed:
   the check fails, from the overlaps <C^j|E|C^k> over the products E of
   two patterns, the patterns of union weight <= 2t (the Knill-Laflamme form
   of the same criterion). One Walsh-Hadamard transform per amplitude part
-  of E gives every phase part at once, and no image is built. The report,
-  its capped violation list included, is the one the Gram matrix gives.
+  of E gives every phase part at once (under the amplitude condition, one
+  per pair of code-vectors gives every amplitude part), and no image is
+  built. The report, its capped violation list included, is the one the
+  Gram matrix gives.
 
 A check whose images, or overlaps past the bound, would number more than
 GRAM_MAX_ENTRIES = 2^26 is refused with ValueError before it enumerates a
@@ -300,15 +302,24 @@ def _ball_report(code, condition, t):
     worst = 0.0
     per_weight = np.zeros(n + 1)  # violating (E, j, k) by the weight of E
     found = []  # per chunk: violating (c, d), and (k, j) violations at each
+    if condition == "amplitude":
+        # T[k, i, j, 0] = sum_u conj(C^j[u]) C^k[u + c_i] for every c_i at
+        # once, one k at a time: the transform of a product of transforms
+        H = _walsh_hadamard(C)
+        amplitude_T = np.stack([_walsh_hadamard(H[k] * H.conj())[:, cs]
+                                for k in range(K)]) / N
+        amplitude_T = amplitude_T.transpose(0, 2, 1)[..., np.newaxis]
     step = max(1, (1 << 16) // (len(ds) * K * K))  # c values per chunk
     for lo in range(0, len(cs), step):
         c = cs[lo:lo + step]
-        # F[k, i, j, u] = conj(C^j[u]) C^k[u + c_i]; T[k, i, j, d] sums it
-        # against (-1)^(d.u), for d = 0 alone under the amplitude condition
-        F = (np.take(C, u ^ c[:, np.newaxis], axis=1)[:, :, np.newaxis]
-             * C.conj())
-        T = (F.sum(axis=-1, keepdims=True) if condition == "amplitude"
-             else _walsh_hadamard(F))
+        if condition == "amplitude":
+            T = amplitude_T[:, lo:lo + step]
+        else:
+            # F[k, i, j, u] = conj(C^j[u]) C^k[u + c_i]; T[k, i, j, d] sums
+            # it against (-1)^(d.u)
+            F = (np.take(C, u ^ c[:, np.newaxis], axis=1)[:, :, np.newaxis]
+                 * C.conj())
+            T = _walsh_hadamard(F)
         dev = np.abs(T)
         if lo == 0:  # E = I, where <C^j|C^k> should be delta_jk
             j = np.arange(K)
@@ -331,7 +342,8 @@ def _ball_report(code, condition, t):
     reverse = key_indices(u, n)[0]  # basis index <-> key bits
     product_keys = reverse[pc] | (reverse[pd] << n)
     rows = []  # (P, j, Q, k, E) in the Gram's row-major order
-    chunk = max(1, (1 << 16) // max(len(product_keys), 1))
+    # rows P per chunk, for about 2^16 entries in product_bad[e]
+    chunk = max(1, (1 << 16) // max(len(product_keys) * K * K, 1))
     for start in range(0, len(keys), chunk):
         P = np.arange(start, min(start + chunk, len(keys)))
         q_keys = keys[P, np.newaxis] ^ product_keys

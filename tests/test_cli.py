@@ -2,18 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import qeclab
-from qeclab import PureState, QuantumCode, cli, experiment, save_code
+from qeclab import cli, experiment, save_code
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
+from repetition import repetition_code
 
 
 def run(argv):
@@ -81,11 +84,8 @@ def test_simulate_past_the_hamming_bound_exits_one_through_its_report():
 
 
 def test_a_check_over_the_cap_exits_two(tmp_path):
-    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
     path = tmp_path / "rep16.json"
-    save_code(QuantumCode("rep16", 16, 1, 1,
-                          [PureState.basis_state(zeros),
-                           PureState.basis_state(ones)]), path)
+    save_code(repetition_code(16), path)
     # a Gram matrix, then a 2t-ball, over the cap, from either command
     for t in ("3", "4"):
         for argv in (["verify"], ["simulate", "--p", "0.1", "--max-active",
@@ -96,6 +96,28 @@ def test_a_check_over_the_cap_exits_two(tmp_path):
             assert err.startswith("error: the general condition at t = %s "
                                   "needs " % t)
             assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_an_amplitude_check_far_past_the_bound_runs_in_little_memory(
+        tmp_path, n):
+    # 2 V_t image rows, V_t = 9908 or 39203 at t = n / 2, against 2^n
+    # amplitudes, and 2 x 2 overlaps for each of the 2^n amplitude parts
+    path = tmp_path / "rep.json"
+    save_code(repetition_code(n), path)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(["verify", "--code", str(path), "--condition",
+                            "amplitude", "--t", str(n // 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert err == ""
+    # only E = X on every qubit fails, from |C^0> to |C^1> and back, for
+    # each of the comb(n, n / 2) ordered pairs of patterns it is made of
+    assert json.loads(out)["violation_count"] == 2 * math.comb(n, n // 2)
+    assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,8 +523,7 @@ def test_simulate_refuses_more_workers_than_the_cap(monkeypatch):
 #: process is left
 _WORKER_FAILURE = """
 import os, pickle, signal, time
-from qeclab import PureState, QuantumCode, cli, experiment, save_code
-from qeclab.codes import CATALOGUE_EXPECTATIONS
+from qeclab import cli, experiment
 
 run_range = experiment._ExperimentContext.run_range
 

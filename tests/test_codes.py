@@ -9,7 +9,6 @@ from qeclab import (
     CATALOGUE_EXPECTATIONS,
     ErrorPattern,
     PureState,
-    QuantumCode,
     apply_pattern,
     catalogue,
     check_general_condition,
@@ -23,6 +22,7 @@ from qeclab import (
     save_code,
     synthesize_encoder,
 )
+from repetition import repetition_code
 
 
 def test_builtin_codes_load_with_expected_parameters():
@@ -64,12 +64,6 @@ def test_condition_checker_verdicts(name):
             assert report.violation_count > 0
 
 
-def rep16():
-    zeros, ones = "(" + "0" * 16 + ")", "(" + "1" * 16 + ")"
-    return QuantumCode("rep16", 16, 1, 1, [PureState.basis_state(zeros),
-                                           PureState.basis_state(ones)])
-
-
 @pytest.mark.parametrize("condition, t, gram", [
     ("general", 1, True),    # 56 image rows of 2^9 amplitudes
     ("phase", 9, False),     # 1024 image rows, twice 2^9
@@ -102,11 +96,11 @@ def test_a_check_over_the_cap_is_refused_before_it_enumerates(
     monkeypatch.setattr(codes, "pattern_keys", None)
     monkeypatch.setattr(codes, "condition_patterns", None)
     with pytest.raises(ValueError, match=re.escape("needs " + needs)):
-        run_checker(rep16(), condition, t)
+        run_checker(repetition_code(16), condition, t)
 
 
 def test_gram_check_runs_a_16_qubit_code():
-    code = rep16()
+    code = repetition_code(16)
     assert run_checker(code, "amplitude", 1).passed
     assert not run_checker(code, "phase", 1).passed
 
