@@ -15,7 +15,7 @@ from qeclab import (
     apply_amplitude,
     apply_pattern,
     apply_phase,
-    enumerate_patterns,
+    condition_patterns,
 )
 
 
@@ -59,7 +59,7 @@ for a_text, b_text in [("(100)", "(010)"), ("(110)", "(010)"), ("(111)", "(011)"
 print()
 
 print("== the 4^n patterns form an orthogonal operator basis ==")
-pats = enumerate_patterns(2, 2)
+pats = condition_patterns(2, 2, "general")
 print("all %d patterns on two qubits, in canonical order:" % len(pats))
 print("  " + ", ".join(p.text() for p in pats))
 

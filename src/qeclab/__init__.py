@@ -8,25 +8,18 @@ recovery and disentanglement verification, and evaluates the exact packing
 and covering bounds on code parameters.
 """
 
-from .bitstrings import (BitString, add_mod2, dot_mod2, support,
-                         union_weight, weight)
+from .bitstrings import BitString, union_weight
 from .statespace import (DIM_CAP, TOL_NORM, TOL_ZERO, FactorLayout,
                          PureState, fidelity_against, inner, is_disentangled,
-                         load_state, save_state, schmidt_diagnostics,
-                         state_from_dict, state_to_dict, tensor)
-from .errors import (ErrorPattern, apply_amplitude, apply_pattern,
-                     apply_phase, enumerate_bitstrings_by_weight,
-                     enumerate_patterns)
+                         schmidt_diagnostics, tensor)
+from .errors import ErrorPattern, apply_amplitude, apply_pattern, apply_phase
 from .codes import (BUILTIN_CODES, CATALOGUE_EXPECTATIONS, ConditionError,
-                    ConditionReport, QuantumCode, catalogue,
-                    check_amplitude_condition, check_general_condition,
-                    check_phase_condition, code_from_dict, code_to_dict,
-                    encode, load_code, run_checker, save_code,
-                    synthesize_encoder)
+                    ConditionReport, QuantumCode, catalogue, code_from_dict,
+                    code_to_dict, condition_patterns, encode, load_code,
+                    run_checker, save_code)
 from .channels import (QubitChannel, apply_channel, channel_from_dict,
-                       channel_to_dict, identity_channel, is_valid,
-                       load_channel, make_decoherence, random_channel,
-                       residue_oracle, save_channel, validate)
+                       channel_to_dict, load_channel, make_decoherence,
+                       random_channel, residue_oracle, save_channel, validate)
 from .decoder import (DecodeReport, SyndromeTable, build_syndrome_table,
                       correct, measure_exhaustive, measure_hierarchical,
                       recover, syndrome_distribution)

@@ -117,24 +117,6 @@ class BitString:
         return idx
 
 
-# Functional spellings used throughout the package and its tests.
-
-def add_mod2(a, b):
-    return a + b
-
-
-def dot_mod2(a, b):
-    return a.dot(b)
-
-
-def weight(a):
-    return a.weight()
-
-
-def support(a):
-    return a.support()
-
-
 def union_weight(alpha, beta):
     """Number of positions where alpha or beta (or both) is nonzero."""
     alpha._check_len(beta)

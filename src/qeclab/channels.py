@@ -96,10 +96,6 @@ def validate(ch):
             if not mag <= TOL_NORM]
 
 
-def is_valid(ch):
-    return not validate(ch)
-
-
 def make_decoherence(overlap):
     """Pure-decoherence channel with <a_0|a_1> = overlap (|overlap| <= 1).
 
@@ -116,14 +112,6 @@ def make_decoherence(overlap):
     zero = np.zeros(2)
     return QubitChannel(a00=[1.0, 0.0], a01=zero,
                         a10=zero, a11=[overlap, ortho])
-
-
-def identity_channel(env_dim=1):
-    """No entanglement: the environment stays in its reference state."""
-    e0 = np.zeros(env_dim)
-    e0[0] = 1.0
-    zero = np.zeros(env_dim)
-    return QubitChannel(a00=e0, a01=zero, a10=zero, a11=e0)
 
 
 def gaussian_blocks(normals, env_dim):

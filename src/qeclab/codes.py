@@ -1,7 +1,8 @@
 """Quantum codes: representation, correctability criteria, encoding, catalogue.
 
 A code is 2^l orthonormal vectors |C^k> in the 2^n-dimensional block space.
-The three checkers verify, with exact enumeration over error patterns:
+run_checker verifies one of three conditions, with exact enumeration over
+error patterns:
 
 * amplitude condition   <C^k| A_a A_a' |C^m>       = d_km d_aa'
 * phase condition       <C^k| P_b P_b' |C^m>       = d_km d_bb'
@@ -408,79 +409,15 @@ def _gram_check(code, condition, t):
             patterns, B)
 
 
-def check_amplitude_condition(code, t):
-    """Can the code tell apart (and undo) any <=t bit-flip pattern?"""
-    return _gram_check(code, "amplitude", t)[0]
-
-
-def check_phase_condition(code, t):
-    """Can the code tell apart (and undo) any <=t sign-flip pattern?"""
-    return _gram_check(code, "phase", t)[0]
-
-
-def check_general_condition(code, t):
-    """Combined criterion over all patterns touching <= t qubits; subsumes
-    the amplitude and phase conditions."""
-    return _gram_check(code, "general", t)[0]
-
-
-_CHECKERS = {
-    "amplitude": check_amplitude_condition,
-    "phase": check_phase_condition,
-    "general": check_general_condition,
-}
-
-
 def run_checker(code, condition, t):
-    try:
-        fn = _CHECKERS[condition]
-    except KeyError:
+    """Check one condition at weight t: its ConditionReport."""
+    if condition not in _CHOICES:
         raise ValueError("unknown condition %r (choose from %s)"
-                         % (condition, ", ".join(sorted(_CHECKERS))))
-    return fn(code, t)
+                         % (condition, ", ".join(sorted(_CHOICES))))
+    return _gram_check(code, condition, t)[0]
 
 
 # -- encoding ---------------------------------------------------------------
-
-def synthesize_encoder(code):
-    """A 2^n-dimensional unitary U with U(|k> (x) |0...0>) = |C^k>.
-
-    The l data qubits occupy the leading positions and the n-l ancillas are
-    zero, so the designated input columns are k * 2^(n-l). The remaining
-    columns are completed by Gram-Schmidt over the canonical basis in index
-    order (numerically dependent candidates skipped at threshold 1e-9).
-    """
-    n, l = code.n, code.l
-    dim = 1 << n
-    U = np.zeros((dim, dim), dtype=np.complex128)
-    placed = []
-    designated = [k << (n - l) for k in range(1 << l)]
-    for k, col in enumerate(designated):
-        U[:, col] = code.vectors[k].amps.ravel()
-        placed.append(U[:, col])
-    free_cols = [c for c in range(dim) if c not in set(designated)]
-    basis_iter = iter(range(dim))
-    P = np.stack(placed)  # rows are the placed columns
-    for col in free_cols:
-        while True:
-            try:
-                j = next(basis_iter)
-            except StopIteration:  # pragma: no cover - impossible for valid codes
-                raise AssertionError("ran out of basis candidates while "
-                                     "completing the encoder")
-            cand = np.zeros(dim, dtype=np.complex128)
-            cand[j] = 1.0
-            cand -= P.T @ (P.conj() @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > TOL_NORM:
-                cand /= nrm
-                break
-        U[:, col] = cand
-        P = np.vstack([P, cand])
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(dim)))
-    assert dev < TOL_NORM, "encoder completion lost unitarity (%.3e)" % dev
-    return U
-
 
 def encode_stack(code, logical):
     """Encode a stack of logical amplitude rows: row i of logical (g x 2^l)
@@ -528,15 +465,22 @@ def code_from_dict(data):
         raise ValueError("malformed code file: %s" % exc)
     if not 0 <= n or (1 << n) > DIM_CAP:
         raise ValueError("malformed code file: %d qubits" % n)
+    if l < 0:
+        raise ValueError("malformed code file: l = %d is negative" % l)
     vectors = []
     try:
         for entries in raw_vectors:
             vec = np.zeros(1 << n, dtype=np.complex128)
+            seen = set()
             for entry in entries:
                 v = BitString.from_text(entry["basis"])
                 if len(v) != n:
                     raise ValueError("basis label %r has wrong length"
                                      % entry["basis"])
+                if v in seen:
+                    raise ValueError("malformed code file: basis label %r "
+                                     "repeats" % v)
+                seen.add(v)
                 vec[v.to_index()] = (entry.get("re", 0.0)
                                      + 1j * entry.get("im", 0.0))
             vectors.append(PureState.from_amplitudes(n, vec))

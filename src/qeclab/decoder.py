@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import apply_amplitude, apply_phase
 from .codes import ConditionError, _gram_check
-from .statespace import TOL_NORM, TOL_ZERO, PureState, state_to_dict
+from .statespace import TOL_NORM, TOL_ZERO, PureState
 
 #: pattern filter -> the correctability condition over the same patterns
 _FILTER_CONDITIONS = {"all": "general", "phase-only": "phase",
@@ -162,7 +162,7 @@ def _collapse(state, table, M, coeff, p, i):
     """The renormalized state after subspace i answered (None: after every
     subspace was ruled out, leaving the complement)."""
     if i is None:
-        vec = _complement(table, M, coeff)
+        vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
     else:
         a, b = table.offsets[i], table.offsets[i + 1]
         vec = table.matrices[i].T @ coeff[a:b] / math.sqrt(p[i])
@@ -170,10 +170,17 @@ def _collapse(state, table, M, coeff, p, i):
 
 
 def _complement(table, M, coeff):
-    """The renormalized part of M outside every table subspace."""
-    vec = M - table.rows.T @ coeff
-    vec /= np.linalg.norm(vec)
-    return vec
+    """The renormalized parts of a stack of matrices M (g, 2^n, d_E) outside
+    every table subspace, coeff (g, rows, d_E) being their syndrome
+    coordinates. Each part is divided by its norm, taken row by row as the
+    sum np.linalg.norm takes, so that a stack gives each state's one-state
+    result bit for bit."""
+    rest = M - np.matmul(table.rows.T, coeff)
+    flat = rest.reshape(len(rest), -1)
+    rest /= np.sqrt(np.vecdot(flat.real, flat.real)
+                    + np.vecdot(flat.imag, flat.imag))[:, np.newaxis,
+                                                        np.newaxis]
+    return rest
 
 
 def sample_walks(table, P, p_none, U, dyadic):
@@ -423,19 +430,6 @@ class DecodeReport:
         self.disentangled = disentangled
         self.corrected = corrected
 
-    def to_dict(self, include_state=True):
-        out = {
-            "syndrome": self.syndrome.text() if self.syndrome else None,
-            "outcome_trace": [[label, outcome]
-                              for label, outcome in self.outcome_trace],
-            "fidelity": self.fidelity,
-            "disentangled": self.disentangled,
-            "corrected": self.corrected,
-        }
-        if include_state:
-            out["recovered_state"] = state_to_dict(self.recovered_state)
-        return out
-
     def __repr__(self):
         return ("DecodeReport(syndrome=%s, fidelity=%.9f, disentangled=%s, "
                 "corrected=%s)" % (self.syndrome.text() if self.syndrome
@@ -465,13 +459,21 @@ def verify_blocks(table, blocks, p, references):
     return blocks, fidelity, max_schmidt
 
 
-def verify_complement(table, M, coeff, reference):
-    """Verify a decode that ended in the complement of every subspace:
-    (renormalized complement matrix, fidelity, max Schmidt coefficient)."""
+def verify_complement(table, M, coeff, references):
+    """Verify a stack of decodes that ended in the complement of every
+    subspace: (renormalized complement matrices, fidelity, max Schmidt
+    coefficient), one entry per decode.
+
+    M (g, 2^n, d_E) holds each decode's state matrix, coeff (g, rows, d_E)
+    its syndrome coordinates and references (g, 2^n) the system amplitudes
+    fidelity is measured against. Every decode's numbers come from
+    fixed-shape products of its own arrays.
+    """
     rest = _complement(table, M, coeff)
-    w = reference.conj() @ rest
-    sv = np.linalg.svd(rest, compute_uv=False)
-    return rest, float(np.sum(np.abs(w) ** 2)), float(sv[0])
+    w = np.matmul(references.conj()[:, np.newaxis, :], rest)
+    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
+    max_schmidt = np.linalg.svd(rest, compute_uv=False)[:, 0]
+    return rest, fidelity, max_schmidt
 
 
 def correct(state, code, t, strategy, randomness, reference,
@@ -505,14 +507,15 @@ def correct(state, code, t, strategy, randomness, reference,
     i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
     ref = reference.amps.reshape(1, -1)
     if i is None:
-        recovered, fidelity, max_schmidt = verify_complement(table, M, coeff,
-                                                             ref[0])
+        recovered, fidelity, max_schmidt = verify_complement(
+            table, M[np.newaxis], coeff[np.newaxis], ref)
+        recovered = recovered[0]
     else:
         a, b = table.offsets[i], table.offsets[i + 1]
         blocks, fidelity, max_schmidt = verify_blocks(
             table, coeff[np.newaxis, a:b], p[i:i + 1], ref)
         recovered = table.code.matrix().T @ blocks[0]
-        fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
+    fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
     return DecodeReport(
         syndrome=None if i is None else table.patterns[i],
         outcome_trace=trace,

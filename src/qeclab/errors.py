@@ -175,19 +175,3 @@ def key_indices(keys, n):
         beta |= ((keys >> (n + q)) & 1) << (n - 1 - q)
     return alpha, beta
 
-
-def enumerate_bitstrings_by_weight(n, t):
-    """All length-n tuples of weight <= t in canonical (little-endian) order."""
-    return [ErrorPattern.from_key(key, n).alpha
-            for key in pattern_keys(n, t, ((1, 0),)).tolist()]
-
-
-def enumerate_patterns(n, t):
-    """All patterns with union_weight(alpha, beta) <= t, canonically ordered.
-
-    Per affected qubit the (alpha_i, beta_i) choices are exactly (1,0),
-    (0,1), (1,1) -- sigma_x, sigma_z, sigma_y -- so the count is
-    sum_{i<=t} 3^i C(n,i). The all-zero pattern comes first.
-    """
-    return [ErrorPattern.from_key(key, n)
-            for key in pattern_keys(n, t).tolist()]

@@ -352,7 +352,8 @@ class _ExperimentContext:
         """Phase 3's verification of a group: (fidelity, max Schmidt
         coefficient) arrays, one entry per trial, whose walk ended in
         subspace index[j] (len(table): the complement). Identified outcomes
-        are verified as one stack."""
+        are verified as one stack, and outcomes in the complement as
+        another."""
         fidelity, top = np.empty(len(index)), np.empty(len(index))
         found = np.flatnonzero(index < len(self.table))
         if len(found):
@@ -362,9 +363,10 @@ class _ExperimentContext:
             _, fidelity[found], top[found] = verify_blocks(
                 self.table, coeff[found[:, np.newaxis], rows], p[found, i],
                 refs[found])
-        for j in np.flatnonzero(index == len(self.table)).tolist():
-            _, fidelity[j], top[j] = verify_complement(self.table, M[j],
-                                                       coeff[j], refs[j])
+        outside = np.flatnonzero(index == len(self.table))
+        if len(outside):
+            _, fidelity[outside], top[outside] = verify_complement(
+                self.table, M[outside], coeff[outside], refs[outside])
         return fidelity, top
 
     def run_block(self, start, stop):

@@ -13,7 +13,6 @@ amplitudes (everything in this package is desk scale).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -250,49 +249,3 @@ def fidelity_against(joint, reference_system_state):
     w = ref.amps.ravel().conj() @ joint.matrix()
     return float(np.sum(np.abs(w) ** 2))
 
-
-# -- state files ---------------------------------------------------------------
-
-def state_to_dict(state):
-    """Sparse JSON-ready form; absent entries are zero."""
-    layout = state.layout
-    amps = []
-    for idx in np.argwhere(np.abs(state.amps) > 0):
-        idx = tuple(int(i) for i in idx)
-        a = complex(state.amps[idx])
-        amps.append({
-            "basis": repr(BitString.from_index(idx[0], layout.qubit_count)),
-            "env_idx": list(idx[1:]),
-            "re": a.real,
-            "im": a.imag,
-        })
-    return {
-        "qubits": layout.qubit_count,
-        "env": [{"qubit": q, "dim": d} for q, d in layout.env_factors],
-        "amps": amps,
-    }
-
-
-def state_from_dict(data, normalized=True):
-    layout = FactorLayout(int(data["qubits"]),
-                          [(e["qubit"], e["dim"]) for e in data.get("env", [])])
-    arr = np.zeros(layout.shape, dtype=np.complex128)
-    for entry in data.get("amps", []):
-        v = BitString.from_text(entry["basis"])
-        if len(v) != layout.qubit_count:
-            raise ValueError("basis label %r has wrong length" % entry["basis"])
-        env_idx = tuple(int(i) for i in entry.get("env_idx", []))
-        if len(env_idx) != len(layout.env_factors):
-            raise ValueError("env_idx length mismatch in %r" % entry)
-        arr[(v.to_index(),) + env_idx] = entry.get("re", 0.0) + 1j * entry.get("im", 0.0)
-    return PureState(layout, arr, normalized=normalized)
-
-
-def save_state(state, path):
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-
-
-def load_state(path, normalized=True):
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), normalized=normalized)

@@ -436,22 +436,31 @@ def test_simulate_rejects_bad_parameters():
         assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("n,entry", [
-    (1, {"re": 1.0}),                  # no basis label
-    (1, {"basis": "(0)", "re": "x"}),  # a non-numeric amplitude
-    (1, "(0)"),                        # an entry that is not an object
-    (40, {"basis": "(0)"}),            # refused before 2^40 amplitudes
-    (1, {"basis": "(0)", "re": float("nan")}),  # not a normalized state
+@pytest.mark.parametrize("n,l,entries,message", [
+    (1, 0, [{"re": 1.0}], None),                  # no basis label
+    (1, 0, [{"basis": "(0)", "re": "x"}], None),  # a non-numeric amplitude
+    (1, 0, ["(0)"], None),                # an entry that is not an object
+    (40, 0, [{"basis": "(0)"}], None),    # refused before 2^40 amplitudes
+    # not a normalized state
+    (1, 0, [{"basis": "(0)", "re": float("nan")}], None),
+    # a later entry for the same label would silently replace the first
+    (1, 0, [{"basis": "(0)", "re": 0.5}, {"basis": "(0)", "re": 1.0}],
+     "malformed code file: basis label (0) repeats"),
+    (1, -1, [{"basis": "(0)", "re": 1.0}],
+     "malformed code file: l = -1 is negative"),
 ])
 @pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
-def test_a_malformed_code_file_exits_two(tmp_path, command, n, entry):
+def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
+                                         message):
     path = tmp_path / "code.json"
-    path.write_text(json.dumps({"name": "x", "n": n, "l": 0, "t": 0,
-                                "vectors": [[entry]]}))
+    path.write_text(json.dumps({"name": "x", "n": n, "l": l, "t": 0,
+                                "vectors": [entries]}))
     rc, out, err = run(command + ["--code", str(path)])
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+    if message is not None:
+        assert err == "error: %s\n" % message
 
 
 def test_simulate_refuses_a_repeated_qubit():

@@ -11,8 +11,6 @@ from qeclab import (
     PureState,
     apply_pattern,
     catalogue,
-    check_general_condition,
-    check_phase_condition,
     code_from_dict,
     code_to_dict,
     encode,
@@ -20,7 +18,6 @@ from qeclab import (
     load_code,
     run_checker,
     save_code,
-    synthesize_encoder,
 )
 from repetition import repetition_code
 
@@ -113,7 +110,7 @@ def test_run_checker_rejects_unknown_condition():
 def test_three_qubit_code_general_failure_pinpoints_bit_flip_confusion():
     # the code distinguishes phases but a single bit flip maps one code
     # vector onto the other: <C^1| A(100) |C^0> = 1
-    report = check_general_condition(load_code("phase3"), 1)
+    report = run_checker(load_code("phase3"), "general", 1)
     assert not report.passed
     found = [
         (k, m, p, p2, val)
@@ -127,7 +124,7 @@ def test_three_qubit_code_general_failure_pinpoints_bit_flip_confusion():
 
 
 def test_report_to_dict_shape():
-    d = check_phase_condition(load_code("phase3"), 3).to_dict()
+    d = run_checker(load_code("phase3"), "phase", 3).to_dict()
     assert d["condition"] == "phase"
     assert d["t"] == 3
     assert d["passed"] is False
@@ -136,28 +133,13 @@ def test_report_to_dict_shape():
     assert set(row) == {"k", "l", "pattern", "pattern2", "re", "im"}
 
 
-def test_encoder_is_unitary_with_designated_columns():
-    for name in BUILTIN_CODES:
-        code = load_code(name)
-        U = synthesize_encoder(code)
-        dim = 1 << code.n
-        assert U.shape == (dim, dim)
-        assert np.allclose(U.conj().T @ U, np.eye(dim), atol=1e-9)
-        # column k << (n - l) carries |C^k>: the logical basis state padded
-        # with trailing zero qubits maps to the k-th code vector
-        for k in range(1 << code.l):
-            col = U[:, k << (code.n - code.l)]
-            assert np.allclose(col, code.vectors[k].amps.ravel(), atol=1e-12)
-
-
 def test_encode_matches_encoder_action():
     code = load_code("phase3")
-    U = synthesize_encoder(code)
     logical = np.array([0.6, 0.8j])
     st = encode(code, logical)
-    padded = np.zeros(8, dtype=complex)
-    padded[[0, 4]] = logical
-    assert np.allclose(st.amps, U @ padded, atol=1e-12)
+    # sum_k c_k |C^k>
+    expected = sum(c * v.amps for c, v in zip(logical, code.vectors))
+    assert np.allclose(st.amps, expected, atol=1e-12)
 
 
 def test_encode_is_isometric():

@@ -12,9 +12,9 @@ from qeclab import (
     build_syndrome_table,
     code_from_dict,
     code_to_dict,
+    condition_patterns,
     correct,
     encode,
-    enumerate_patterns,
     load_code,
     make_decoherence,
     measure_exhaustive,
@@ -75,7 +75,7 @@ def test_table_layout_for_general_patterns():
     code = load_code("shor9")
     table = build_syndrome_table(code, 1)
     assert len(table.patterns) == 28  # 1 + 3*9 weight <= 1 patterns
-    assert table.patterns == tuple(enumerate_patterns(9, 1))
+    assert table.patterns == tuple(condition_patterns(9, 1, "general"))
     assert table.labels[0] == "H[A(000000000)P(000000000)]"
     assert table.labels[1] == "H[A(100000000)P(000000000)]"
     assert not table.is_complete  # 56 of 512 dimensions
@@ -339,20 +339,6 @@ def test_correct_refuses_a_table_built_for_another_t_or_filter(
         correct(decohered(ref, (0,)), code, t, "exhaustive",
                 trial_generator(0, 0), ref, pattern_filter=pattern_filter,
                 table=table)
-
-
-def test_correct_report_serializes():
-    code, ref = encoded("phase3")
-    table = build_syndrome_table(code, 1, "phase-only")
-    rep = correct(decohered(ref, (0,)), code, 1, "exhaustive",
-                  trial_generator(3, 4), ref, pattern_filter="phase-only",
-                  table=table)
-    d = rep.to_dict()
-    assert set(d) >= {"syndrome", "outcome_trace", "fidelity", "disentangled",
-                      "corrected"}
-    assert isinstance(d["fidelity"], float)
-    slim = rep.to_dict(include_state=False)
-    assert "recovered_state" not in slim
 
 
 def test_deterministic_given_the_same_deviates():

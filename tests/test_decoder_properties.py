@@ -1,5 +1,6 @@
-"""Property tests of the syndrome-coordinate decoder against a dense oracle,
-and of the array measurement walk against a scalar one.
+"""Property tests of the syndrome-coordinate decoder and its stacked
+complement verification against a dense oracle, and of the array
+measurement walk against a scalar one.
 
 The oracle rebuilds every syndrome subspace from its definition,
 span{A_a P_b |C^k>}, as a dense projector P_i = W_i^T conj(W_i) on the
@@ -19,11 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qeclab import (apply_channel, apply_pattern, build_syndrome_table,
-                    encode, load_code, measure_exhaustive,
+                    encode, fidelity_against, load_code, measure_exhaustive,
                     measure_hierarchical, random_channel,
-                    syndrome_distribution)
-from qeclab.decoder import sample_walk, sample_walks
-from qeclab.statespace import TOL_ZERO
+                    schmidt_diagnostics, syndrome_distribution)
+from qeclab.decoder import (sample_walk, sample_walks, stack_coordinates,
+                            verify_complement)
+from qeclab.statespace import TOL_ZERO, PureState
 
 from walk_trees import Stream, left_to_right, walk_tree
 
@@ -165,6 +167,61 @@ def test_scripted_walks_collapse_onto_the_oracle_projection(tables, block,
         assert len(trace) == len(us)
         assert collapsed.layout == state.layout
         assert np.max(np.abs(collapsed.matrix() - expected)) <= 1e-10
+
+
+#: the incomplete tables a decode can end in the complement of
+COMPLEMENT_TABLES = {key: build_syndrome_table(load_code(key[0]), key[1],
+                                               key[2])
+                     for key in [("shor9", 1, "all"),
+                                 ("shor9", 1, "phase-only"),
+                                 ("phase3", 0, "phase-only")]}
+
+
+@st.composite
+def complement_stacks(draw):
+    """(table, states, references): 1 to 6 random logical states encoded,
+    each sent through its own random:d channels on the same 2 or 3 qubits,
+    so that the stack shares one joint layout."""
+    table = COMPLEMENT_TABLES[draw(st.sampled_from(sorted(COMPLEMENT_TABLES)))]
+    code = table.code
+    qubits = draw(st.lists(st.integers(0, code.n - 1), unique=True,
+                           min_size=2, max_size=3))
+    env_dim = draw(st.integers(1, 3))
+    states, references = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        vec = rng.standard_normal(1 << code.l) \
+            + 1j * rng.standard_normal(1 << code.l)
+        reference = encode(code, vec / np.linalg.norm(vec))
+        state = reference
+        for q in qubits:
+            state = apply_channel(state, q, random_channel(env_dim, rng))
+        states.append(state)
+        references.append(reference)
+    return table, states, references
+
+
+@SETTINGS
+@given(complement_stacks())
+def test_stacked_complement_verification_matches_the_oracle(stack):
+    table, states, references = stack
+    P = projectors(table)
+    M = np.stack([state.matrix() for state in states])
+    refs = np.stack([ref.amps.ravel() for ref in references])
+    coeff, _, p_none = stack_coordinates(table, M)
+    assert np.all(p_none > 1e-6)  # every state has a complement to verify
+    rest, fidelity, top = verify_complement(table, M, coeff, refs)
+    for j, (state, ref) in enumerate(zip(states, references)):
+        expected = M[j] - sum(proj @ M[j] for proj in P)
+        expected = PureState(state.layout,
+                             expected / np.linalg.norm(expected))
+        assert abs(fidelity[j] - fidelity_against(expected, ref)) <= 1e-12
+        assert abs(top[j] - schmidt_diagnostics(expected)[0]) <= 1e-12
+        # a row verified alone gives the same bytes as within the stack
+        alone = verify_complement(table, M[j:j + 1], coeff[j:j + 1],
+                                  refs[j:j + 1])
+        for got, single in zip((rest, fidelity, top), alone):
+            assert got[j].tobytes() == single[0].tobytes()
 
 
 def scalar_walk(table, p, p_none, deviate, dyadic):

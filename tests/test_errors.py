@@ -12,8 +12,7 @@ from qeclab import (
     apply_amplitude,
     apply_pattern,
     apply_phase,
-    enumerate_bitstrings_by_weight,
-    enumerate_patterns,
+    condition_patterns,
     inner,
 )
 
@@ -142,24 +141,26 @@ def test_pattern_union_weight():
 
 
 def test_enumerate_bitstrings_by_weight():
-    got = enumerate_bitstrings_by_weight(3, 1)
-    assert [repr(b) for b in got] == ["(000)", "(100)", "(010)", "(001)"]
-    assert len(enumerate_bitstrings_by_weight(5, 2)) == 1 + 5 + 10
-    assert len(enumerate_bitstrings_by_weight(4, 4)) == 16
+    got = condition_patterns(3, 1, "amplitude")
+    assert [repr(p.alpha) for p in got] == ["(000)", "(100)", "(010)",
+                                            "(001)"]
+    assert all(p.beta.is_zero() for p in got)
+    assert len(condition_patterns(5, 2, "amplitude")) == 1 + 5 + 10
+    assert len(condition_patterns(4, 4, "amplitude")) == 16
 
 
 def test_enumerate_patterns_count():
     # sum over i <= t of 3^i C(n, i) distinct patterns
     for n, t in [(3, 1), (4, 2), (5, 2), (9, 1)]:
         expected = sum(3 ** i * math.comb(n, i) for i in range(t + 1))
-        pats = enumerate_patterns(n, t)
+        pats = condition_patterns(n, t, "general")
         assert len(pats) == expected
         assert len(set(pats)) == expected
         assert all(p.union_weight() <= t for p in pats)
 
 
 def test_enumerate_patterns_canonical_order():
-    got = [p.text() for p in enumerate_patterns(3, 1)]
+    got = [p.text() for p in condition_patterns(3, 1, "general")]
     assert got == [
         "A(000)P(000)",
         "A(100)P(000)",
@@ -172,7 +173,7 @@ def test_enumerate_patterns_canonical_order():
         "A(000)P(001)",
         "A(001)P(001)",
     ]
-    keys = [p.sort_key() for p in enumerate_patterns(4, 2)]
+    keys = [p.sort_key() for p in condition_patterns(4, 2, "general")]
     assert keys == sorted(keys)
 
 

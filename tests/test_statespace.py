@@ -8,11 +8,7 @@ from qeclab import (
     fidelity_against,
     inner,
     is_disentangled,
-    load_state,
-    save_state,
     schmidt_diagnostics,
-    state_from_dict,
-    state_to_dict,
     tensor,
 )
 
@@ -155,20 +151,3 @@ def test_fidelity_rejects_reference_with_environment():
     with pytest.raises(ValueError):
         fidelity_against(joint, joint)
 
-
-def test_state_dict_round_trip(tmp_path):
-    lay = FactorLayout(2, [(1, 3)])
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    amps /= np.linalg.norm(amps)
-    st = PureState(lay, amps)
-
-    back = state_from_dict(state_to_dict(st))
-    assert back.layout == st.layout
-    assert np.allclose(back.amps, st.amps)
-
-    path = tmp_path / "state.json"
-    save_state(st, path)
-    loaded = load_state(path)
-    assert loaded.layout == st.layout
-    assert np.allclose(loaded.amps, st.amps)
