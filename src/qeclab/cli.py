@@ -11,8 +11,8 @@ Subcommands
 * ``catalogue`` -- built-in codes with expected and actual checker verdicts
 
 Exit codes: 0 pass/success, 1 semantic failure (a condition violated or a
-verdict mismatch), 2 malformed input (unreadable files, invalid ranges,
-layout-cap overflow).
+verdict mismatch), 2 malformed input (unreadable files, unwritable output
+paths, invalid ranges, layout-cap overflow).
 
 This module parses arguments and writes output only. ``simulate`` runs on
 the Monte Carlo engine in ``experiment``, which stacks trials into batches
@@ -24,6 +24,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -55,10 +56,28 @@ BOUNDS_MAX_LT = 2000
 
 # -- output plumbing --------------------------------------------------------------
 
+def _open_output(path):
+    """path opened for writing text; BadInput naming it when it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BadInput("cannot write %s: %s" % (path, exc.strerror))
+
+
+def _write(fh, text):
+    """Write text to fh, a file from _open_output, and flush it; BadInput
+    naming the file when that fails."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise BadInput("cannot write %s: %s" % (fh.name, exc.strerror))
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        with _open_output(out_path) as fh:
+            _write(fh, text)
     else:
         sys.stdout.write(text)
 
@@ -221,20 +240,27 @@ def cmd_simulate(args):
             pattern_filter=args.filter, t=args.t, max_active=args.max_active)
     except ValueError as exc:
         raise BadInput(str(exc))
-    records, summary = run_experiment(config, workers=args.workers)
-    if args.format == "json":
-        body = _json_text([dict(r) for r in records])
-    else:
-        body = records_to_csv(records)
-    _emit(body, args.out)
-    summary_text = _json_text(summary)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(summary_text)
-    elif args.out:
-        sys.stdout.write(summary_text)
-    else:
-        sys.stderr.write(summary_text)
+    with contextlib.ExitStack() as files:
+        # opened before the first trial, so that a long run is not computed
+        # only to be refused
+        out, summary_out = [files.enter_context(_open_output(path)) if path
+                            else None for path in (args.out, args.summary)]
+        records, summary = run_experiment(config, workers=args.workers)
+        if args.format == "json":
+            body = _json_text([dict(r) for r in records])
+        else:
+            body = records_to_csv(records)
+        summary_text = _json_text(summary)
+        if out:
+            _write(out, body)
+        else:
+            sys.stdout.write(body)
+        if summary_out:
+            _write(summary_out, summary_text)
+        elif out:
+            sys.stdout.write(summary_text)
+        else:
+            sys.stderr.write(summary_text)
     return 0
 
 

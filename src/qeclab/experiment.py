@@ -14,13 +14,18 @@ byte-identical CSV.
 Trials run in blocks whose stacked states hold at most BLOCK_AMPLITUDES
 joint amplitudes, each block in three phases:
 
-1. draw -- the context's one generator is re-keyed to each trial's
-   substream in turn, and the trial makes all its draws before the next
-   re-key: activation (redrawn while it exceeds --max-active), then one
-   standard-normal draw holding the channel parameters and the logical
-   state, then uniform deviates for the measurement walk, as many as the
-   walk can take (one per syndrome subspace). A clean trial (no activated
-   qubit) skips the deviates, which end its stream;
+1. draw -- every trial's first activation draw comes from one numpy pass
+   over the substreams of a chunk of blocks (rng.philox_words), which is
+   pinned to numpy's Philox bit for bit. A trial whose first draw exceeds
+   --max-active replays its stream on the context's one generator, redrawing
+   until the cap holds. Then, block by block, the generator is resumed in
+   each trial's substream just after its accepted activation draw (one
+   state set), and the trial makes its other draws before the next trial's:
+   one standard-normal draw holding the channel parameters and the logical
+   state, into a row of the block's preallocated array, then uniform
+   deviates for the measurement walk, as many as the walk can take (one per
+   syndrome subspace). A clean trial (no activated qubit) skips the
+   deviates, which end its stream;
 2. propagate -- trials that activated the same qubits form a group: the
    group's logical states are normalized and encoded as one stack, its
    random channels are orthonormalized as one stack, each activated
@@ -63,7 +68,7 @@ from .channels import (entangle_stack, gaussian_blocks, load_channel,
 from .codes import encode_stack, load_code
 from .decoder import (DYADIC, build_syndrome_table, sample_walks,
                       stack_coordinates, verify_blocks, verify_complement)
-from .rng import TrialStreams
+from .rng import TrialStreams, doubles, philox_words
 from .statespace import DIM_CAP, TOL_NORM
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
@@ -271,24 +276,74 @@ class _ExperimentContext:
         self.channel_normals = 8 * self.env_dim if channel is None else 0
         self.logical_normals = (2 << self.code.l if self.fixed_logical is None
                                 else 0)
+        # the words of a trial's first activation draw, to the end of the
+        # 4-word Philox block it ends in
+        self.activation_words = 4 * -(-len(self.eligible) // 4)
+        self._drawn = 0, 0, None  # see activations
         self.streams = TrialStreams()
 
     def draw(self, trial):
-        """Phase 1 of one trial up to its walk: (its generator, positioned at
-        the walk's uniform deviates, activated qubits, the trial's standard
-        normals or None when it needs none)."""
-        cfg = self.config
-        rng = self.streams.rekey(cfg.seed, trial)
+        """Phase 1 of one trial up to its walk, replayed from the start of its
+        substream: (its generator, positioned at the walk's uniform deviates,
+        activated qubits, the trial's standard normals or None when it needs
+        none)."""
+        rng = self.streams.rekey(self.config.seed, trial)
         # draw order is part of the reproducibility contract:
         # activation -> channel parameters -> logical state -> measurements
-        while True:
-            hits = (rng.random(len(self.eligible)) < cfg.p).tolist()
-            if cfg.max_active is None or sum(hits) <= cfg.max_active:
-                break
+        hits, _ = self._activate(rng)
         activated = tuple(q for q, hit in zip(self.eligible, hits) if hit)
-        count = self.channel_normals * len(activated) + self.logical_normals
+        count = self.normal_count(activated)
         normals = rng.standard_normal(count) if count else None
         return rng, activated, normals
+
+    def normal_count(self, activated):
+        """How many standard normals a trial that activated `activated`
+        draws."""
+        return self.channel_normals * len(activated) + self.logical_normals
+
+    def _activate(self, rng):
+        """(hits, redraws): the activation draw of a trial whose generator
+        rng is at the start of its substream, as a list of bools over the
+        eligible qubits, redrawn while it exceeds --max-active; redraws
+        counts the draws past the first."""
+        cfg = self.config
+        redraws = -1
+        while True:
+            redraws += 1
+            hits = (rng.random(len(self.eligible)) < cfg.p).tolist()
+            if cfg.max_active is None or sum(hits) <= cfg.max_active:
+                return hits, redraws
+
+    def activations(self, start, stop):
+        """The accepted activation draws of trials [start, stop): (hits, a
+        (stop - start, len(eligible)) bool array; redraws, how many draws
+        past the first --max-active forced on each trial; last, the 4 words
+        of the Philox block each trial's accepted draw ends in).
+
+        Every trial's first draw comes from one numpy pass over the
+        substreams (rng.philox_words). A trial whose first draw breaks
+        --max-active replays its draws on the shared generator instead. The
+        draws are a function of (seed, trial) alone, so the rows of the last
+        range drawn are kept and served again: run_range draws a chunk of
+        blocks at once, whose run_block calls then find their rows here.
+        """
+        c, d, drawn = self._drawn
+        if c <= start < stop <= d:
+            return tuple(x[start - c:stop - c] for x in drawn)
+        cfg = self.config
+        words = philox_words(cfg.seed, np.arange(start, stop, dtype=np.uint64),
+                             self.activation_words)
+        hits = doubles(words[:, :len(self.eligible)]) < cfg.p
+        last = words[:, -4:]
+        redraws = np.zeros(stop - start, dtype=np.intp)
+        if cfg.max_active is not None:
+            for j in np.flatnonzero(hits.sum(axis=1)
+                                    > cfg.max_active).tolist():
+                rng = self.streams.rekey(cfg.seed, start + j)
+                hits[j], redraws[j] = self._activate(rng)
+                last[j] = rng.bit_generator.state["buffer"]
+        self._drawn = start, stop, (hits, redraws, last)
+        return hits, redraws, last
 
     def propagate(self, activated, normals):
         """Phase 2 of a group of trials that all activated `activated`, whose
@@ -372,27 +427,41 @@ class _ExperimentContext:
     def run_block(self, start, stop):
         """Records of trials [start, stop), and the (measurements, forced
         outcomes) of their walks as a (2, stop - start) array."""
+        cfg = self.config
         b = stop - start
+        k = len(self.eligible)
+        hits, redraws, last = self.activations(start, stop)
+        # trials that activated the same qubits share a layout, found from
+        # their activation masks packed into integers
+        _, first, layout = np.unique(hits @ (1 << np.arange(k)),
+                                     return_index=True, return_inverse=True)
+        shapes = [tuple(q for q, hit in zip(self.eligible, hits[f].tolist())
+                        if hit) for f in first.tolist()]
+        counts = [self.normal_count(a) for a in shapes]
         U = np.full((b, len(self.table)), CERTAIN_DEVIATE)
-        groups = collections.defaultdict(list)
-        layouts, normals = [], []
-        for k in range(b):
-            rng, activated, z = self.draw(start + k)
-            if activated:  # a clean trial's deviates wait for the walk
-                rng.random(out=U[k])
-            groups[activated].append(k)
-            layouts.append(activated)
-            normals.append(z)
+        Z = np.empty((b, max(counts)))
+        layout = layout.tolist()
+        for j, (s, end, block) in enumerate(zip(
+                layout, (k * (1 + redraws)).tolist(), last.tolist())):
+            rng = self.streams.resume(cfg.seed, start + j, end, block)
+            rng.standard_normal(out=Z[j, :counts[s]])
+            if shapes[s]:  # a clean trial's deviates wait for the walk
+                rng.random(out=U[j])
+        # each layout's trials in trial order; the layouts run in the order
+        # of their first trials
+        groups = np.split(np.argsort(layout, kind="stable"),
+                          np.cumsum(np.bincount(layout))[:-1])
         P = np.empty((b, len(self.table)))
         p_none = np.empty(b)
         stacks = []
-        for activated, members in groups.items():
+        for s in np.argsort(first).tolist():
             refs, M, coeff, p, rest = self.propagate(
-                activated, [normals[k] for k in members])
-            P[members], p_none[members] = p, rest
-            stacks.append((members, refs, M, coeff, p))
-        index, measurements, forced = self.walk(
-            start, P, p_none, U, np.array(groups.get((), []), dtype=np.intp))
+                shapes[s], Z[groups[s], :counts[s]])
+            P[groups[s]], p_none[groups[s]] = p, rest
+            stacks.append((groups[s], refs, M, coeff, p))
+        # the clean layout, mask 0, sorts first when there is one
+        clean = groups[0] if not shapes[0] else np.empty(0, dtype=np.intp)
+        index, measurements, forced = self.walk(start, P, p_none, U, clean)
         fidelity, top = np.empty(b), np.empty(b)
         for members, refs, M, coeff, p in stacks:
             fidelity[members], top[members] = self.verify(
@@ -401,26 +470,36 @@ class _ExperimentContext:
         if bad.any():
             raise AssertionError("fidelity %r out of range"
                                  % float(fidelity[bad][0]))
-        names = {a: "+".join(str(q) for q in a) for a in groups}
+        names = ["+".join(str(q) for q in a) for a in shapes]
         outcomes = self.table.texts + ("none",)
         records = [
-            {"trial": start + k, "activated": names[a],
+            {"trial": start + j, "activated": names[s],
              "syndrome": outcomes[i], "fidelity": f, "disentangled": d,
              "corrected": c}
-            for k, (a, i, f, d, c) in enumerate(zip(
-                layouts, index.tolist(), fidelity.tolist(),
+            for j, (s, i, f, d, c) in enumerate(zip(
+                layout, index.tolist(), fidelity.tolist(),
                 (top >= 1.0 - TOL_NORM).tolist(),
                 (index < len(self.table)).tolist()))]
         return records, np.stack([measurements, forced])
 
     def run_range(self, start, stop):
-        """run_block's records and walk counts of trials [start, stop), one
-        block of at most block_trials trials at a time."""
+        """run_block's records of trials [start, stop), and a (3, stop -
+        start) array of each trial's walk measurements, forced outcomes and
+        activation redraws. Activations are drawn for a chunk of whole
+        blocks at a time, holding at most BLOCK_AMPLITUDES Philox words (or
+        one block), and trials then run one block of at most block_trials at
+        a time."""
+        chunk = self.block_trials * max(1, BLOCK_AMPLITUDES // max(
+            1, self.activation_words * self.block_trials))
         records, walks = [], []
-        for a in range(start, stop, self.block_trials):
-            got = self.run_block(a, min(a + self.block_trials, stop))
-            records += got[0]
-            walks.append(got[1])
+        for c in range(start, stop, chunk):
+            d = min(c + chunk, stop)
+            redraws = self.activations(c, d)[1]
+            for a in range(c, d, self.block_trials):
+                b = min(a + self.block_trials, d)
+                got = self.run_block(a, b)
+                records += got[0]
+                walks.append(np.vstack([got[1], redraws[a - c:b - c]]))
         return records, np.concatenate(walks, axis=1)
 
 
@@ -613,7 +692,7 @@ def _summary(ctx, records, walks):
     bound = analytic_success_bound(len(ctx.eligible), ctx.t, config.p,
                                    config.max_active)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
-    measurements, forced = walks
+    measurements, forced, redraws = walks
     return {
         "config": dict(config.as_dict(),
                        t=ctx.t,
@@ -636,6 +715,8 @@ def _summary(ctx, records, walks):
             # measurements whose outcome the TOL_ZERO rule forced against
             # the deviate drawn for it
             "forced_outcomes": int(forced.sum()),
+            # extra activation draws that --max-active forced
+            "activation_redraws": int(redraws.sum()),
             "syndrome_histogram": dict(collections.Counter(
                 r["syndrome"] for r in records)),
         },

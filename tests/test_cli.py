@@ -136,6 +136,38 @@ def test_an_option_the_subcommand_does_not_read_exits_two(capsys, argv):
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
 
 
+_SIMULATE = ["simulate", "--code", "phase3", "--filter", "phase-only",
+             "--p", "0.1", "--trials", "3"]
+
+
+@pytest.mark.parametrize("place, reason", [
+    (lambda tmp: tmp / "missing" / "x.out", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+])
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--code", "phase3", "--condition", "phase", "--t", "1"],
+     "--out"),
+    (["bounds", "--l", "1", "--t", "1"], "--out"),
+    (["demo3"], "--out"),
+    (["catalogue"], "--out"),
+    (_SIMULATE, "--out"),
+    (_SIMULATE, "--summary"),
+])
+def test_an_unwritable_output_path_exits_two(monkeypatch, tmp_path, argv,
+                                             option, place, reason):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("simulate ran trials before opening its files")
+
+    # simulate opens its files before any trial runs
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    path = str(place(tmp_path))
+    rc, out, err = run(argv + [option, path])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: cannot write %s: %s\n" % (path, reason)
+    assert "Traceback" not in err
+
+
 # -- bounds ---------------------------------------------------------------------
 
 
@@ -646,6 +678,39 @@ def test_simulate_per_trial_draw_order_is_pinned(tmp_path, strategy, digest):
                     "--summary", str(tmp_path / "summary.json")])
     assert rc == 0
     assert _digest_without_fidelity(out.read_text()) == digest
+
+
+_PERFECT5 = ("--code", "perfect5", "--channel", "random:2", "--p", "0.05",
+             "--trials", "1200", "--seed", "7")
+_PHASE3 = ("--code", "phase3", "--filter", "phase-only", "--channel",
+           "decoherence:0", "--p", "0.05", "--trials", "1000", "--seed", "7")
+# eight eligible qubits end each activation draw on a 4-word Philox block
+_SHOR9_EIGHT = ("--code", "shor9", "--channel", "random:2", "--max-active",
+                "2", "--qubits", "0,1,2,3,4,5,6,7", "--p", "0.2", "--trials",
+                "300", "--seed", "-1")
+
+
+@pytest.mark.parametrize("argv, workers, digest", [
+    (_PERFECT5 + ("--strategy", "exhaustive"), workers,
+     "0ea2c75da18a5a7aa67b5eec4b65934b9d869e7e1d6bcd71b8612150580ad003")
+    for workers in (1, 2)] + [
+    (_PERFECT5 + ("--strategy", "hierarchical"), workers,
+     "7c26df40444197a6edea0fb0e4f77bc50da59b5f87235b3ed17a80a2338fe05f")
+    for workers in (1, 2)] + [
+    (_PHASE3, workers,
+     "769ae305df7bf8c687b9bcc547f525578b79bc128b7ff0140ba622df99eb4edc")
+    for workers in (1, 3)] + [
+    (_SHOR9_EIGHT, 1,
+     "a1e099f499a40cc6097b54196b37307c56af1e036f017db0bc0a72f35457eee1"),
+])
+def test_simulate_csv_is_pinned(tmp_path, argv, workers, digest):
+    # the whole CSV, fidelity included, of fixed-seed runs: a change to how
+    # trials draw or compute must reproduce every byte
+    out = tmp_path / "records.csv"
+    rc, _, _ = run(["simulate", *argv, "--workers", str(workers),
+                    "--out", str(out), "--summary", os.devnull])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _forked_blas_threads(get):

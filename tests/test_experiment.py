@@ -18,6 +18,7 @@ from qeclab.experiment import (BLOCK_AMPLITUDES, WILSON_Z95,
                                ExperimentConfig, analytic_success_bound,
                                records_to_csv, run_experiment,
                                wilson_interval)
+from qeclab.rng import trial_generator
 
 SHOR9 = dict(code="shor9", channel="random:2", max_active=2, p=0.2, seed=7)
 
@@ -54,6 +55,22 @@ def test_records_are_byte_identical_at_any_worker_count(strategy):
     texts = {records_to_csv(run_experiment(config, workers=w)[0])
              for w in (1, 2, 3)}
     assert len(texts) == 1
+
+
+def test_summary_counts_the_activation_redraws_the_cap_forced():
+    config = ExperimentConfig(trials=120, **SHOR9)
+    want = 0
+    for trial in range(config.trials):
+        rng = trial_generator(config.seed, trial)
+        while (rng.random(9) < config.p).sum() > config.max_active:
+            want += 1
+    assert want > 0
+    for workers in (1, 2, 3):
+        _, summary = run_experiment(config, workers=workers)
+        assert summary["results"]["activation_redraws"] == want
+    uncapped = ExperimentConfig(code="perfect5", channel="random:2", p=0.5,
+                                trials=40)
+    assert run_experiment(uncapped)[1]["results"]["activation_redraws"] == 0
 
 
 def test_summary_explains_the_run(tmp_path):

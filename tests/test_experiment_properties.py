@@ -8,7 +8,7 @@ the cap), channel parameters, logical state, measurements.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qeclab import (PureState, apply_channel, build_syndrome_table, correct,
@@ -78,10 +78,15 @@ def configs(draw):
     n = load_code(code).n
     max_active = draw(st.sampled_from([None, 1, 2]))
     qubits = "all"
-    if max_active is None and n > 5:
-        # keeps the worst-case joint dimension under the cap
-        qubits = draw(st.lists(st.integers(0, n - 1), unique=True,
-                               max_size=4))
+    if n > 5:
+        # without the activation cap, at most 4 eligible qubits keep the
+        # worst-case joint dimension under its cap; 4 and 8 end each
+        # activation draw on a 4-word Philox block
+        size = draw(st.sampled_from([0, 1, 2, 3, 4] if max_active is None
+                                    else [1, 4, 8, n]))
+        if size < n:
+            qubits = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                   min_size=size, max_size=size))
     if draw(st.booleans()):
         channel = "random:%d" % draw(st.integers(1, 2))
     else:
@@ -96,14 +101,25 @@ def configs(draw):
     return ExperimentConfig(
         code=code, p=draw(st.sampled_from([0.05, 0.2, 0.5])),
         channel=channel, qubits=qubits, trials=draw(st.integers(1, 12)),
-        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        seed=draw(st.integers(-(1 << 64), 1 << 65)),
         strategy=draw(st.sampled_from(["exhaustive", "hierarchical"])),
         logical=logical, pattern_filter=FILTERS[code],
         max_active=max_active)
 
 
+def _shor9(qubits, max_active, seed):
+    return ExperimentConfig(code="shor9", p=0.3, channel="random:2",
+                            qubits=qubits, trials=12, seed=seed,
+                            max_active=max_active)
+
+
 @SETTINGS
 @given(configs())
+# one, four and eight eligible qubits, whatever the examples drawn: eight
+# under the cap end every draw and redraw on a 4-word Philox block
+@example(_shor9((4,), None, (1 << 64) - 1))
+@example(_shor9((0, 3, 5, 8), None, -(1 << 64)))
+@example(_shor9(tuple(range(8)), 1, (1 << 65) + 3))
 def test_engine_matches_the_per_trial_reference(config):
     records, summary = run_experiment(config)
     expected, measurements = reference_run(config)

@@ -1,18 +1,19 @@
-"""Property tests of the re-keyed trial generator and prefetched deviates.
+"""Property tests of the trial streams and prefetched deviates.
 
-The engine re-keys one shared Philox generator per trial and draws each
-trial's walk deviates ahead of the walk, for decoder.sample_walks; both must
-reproduce, draw for draw, what a fresh rng.trial_generator(seed, trial)
-would give.
+The engine draws many trials' activations in one numpy pass over their
+Philox streams, then re-keys or resumes one shared generator per trial and
+draws each trial's walk deviates ahead of the walk, for
+decoder.sample_walks; each must reproduce, draw for draw, what a fresh
+rng.trial_generator(seed, trial) would give.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qeclab import build_syndrome_table, load_code, trial_generator
 from qeclab.decoder import sample_walk, sample_walks
-from qeclab.rng import TrialStreams
+from qeclab.rng import TrialStreams, doubles, philox_words
 
 # derandomized, so that every run of the suite checks the same examples
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
@@ -42,6 +43,31 @@ def test_a_rekeyed_generator_replays_each_trials_stream(keys):
         got = draws(streams.rekey(seed, trial), sizes)
         want = draws(trial_generator(seed, trial), sizes)
         for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@SETTINGS
+@given(SEEDS, st.lists(TRIALS, min_size=1, max_size=5), st.integers(0, 12),
+       st.integers(0, 9), st.lists(st.integers(0, 9), max_size=3))
+@example((1 << 64) - 1, [(1 << 64) - 1, 0], 8, 4, [5])
+@example(-(1 << 64), [(1 << 63) - 1, 1 << 63], 12, 3, [2, 7])
+def test_philox_words_are_numpys_philox_stream(seed, trials, count, normals,
+                                               sizes):
+    words = philox_words(seed, trials, count)
+    blocks = -(-count // 4)
+    last = philox_words(seed, trials, 4 * blocks)[:, 4 * blocks - 4:]
+    streams = TrialStreams()
+    for trial, row, block in zip(trials, words, last.tolist()):
+        assert np.array_equal(
+            row, trial_generator(seed, trial).bit_generator.random_raw(count))
+        fresh = trial_generator(seed, trial)
+        assert np.array_equal(doubles(row), fresh.random(count))
+        # a generator resumed after those words goes on as the fresh one:
+        # standard normals, then alternating uniform and normal draws
+        resumed = streams.resume(seed, trial, count, block)
+        assert np.array_equal(resumed.standard_normal(normals),
+                              fresh.standard_normal(normals))
+        for a, b in zip(draws(resumed, sizes), draws(fresh, sizes)):
             assert np.array_equal(a, b)
 
 
