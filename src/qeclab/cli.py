@@ -26,6 +26,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -71,6 +73,10 @@ def _write(fh, text):
         fh.write(text)
         fh.flush()
     except OSError as exc:
+        # closing drops what the flush could not write, which a later close
+        # would otherwise try, and fail, to write again
+        with contextlib.suppress(OSError):
+            fh.close()
         raise BadInput("cannot write %s: %s" % (fh.name, exc.strerror))
 
 
@@ -245,6 +251,11 @@ def cmd_simulate(args):
         # only to be refused
         out, summary_out = [files.enter_context(_open_output(path)) if path
                             else None for path in (args.out, args.summary)]
+        if out and summary_out:
+            a, b = os.fstat(out.fileno()), os.fstat(summary_out.fileno())
+            if stat.S_ISREG(a.st_mode) and os.path.samestat(a, b):
+                raise BadInput("--out and --summary name the same file %s"
+                               % args.out)
         records, summary = run_experiment(config, workers=args.workers)
         if args.format == "json":
             body = _json_text([dict(r) for r in records])

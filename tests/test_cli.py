@@ -680,6 +680,34 @@ def test_simulate_per_trial_draw_order_is_pinned(tmp_path, strategy, digest):
     assert _digest_without_fidelity(out.read_text()) == digest
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full, whose writes fail with ENOSPC")
+@pytest.mark.parametrize("argv, option", [
+    (["bounds", "--l", "1", "--t", "1"], "--out"),
+    (_SIMULATE, "--out"),
+    (_SIMULATE, "--summary"),
+])
+def test_a_write_that_fails_exits_two(argv, option):
+    rc, out, err = run(argv + [option, "/dev/full"])
+    assert rc == 2
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_simulate_refuses_one_file_for_records_and_summary(tmp_path):
+    # each would overwrite the other
+    path = str(tmp_path / "both.txt")
+    rc, out, err = run(_SIMULATE + ["--out", path, "--summary", path])
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: --out and --summary name the same file %s\n"
+                   % path)
+    # a device that discards what it is given may take both
+    rc, out, err = run(_SIMULATE + ["--out", os.devnull, "--summary",
+                                    os.devnull])
+    assert rc == 0
+    assert out == err == ""
+
+
 _PERFECT5 = ("--code", "perfect5", "--channel", "random:2", "--p", "0.05",
              "--trials", "1200", "--seed", "7")
 _PHASE3 = ("--code", "phase3", "--filter", "phase-only", "--channel",
