@@ -59,29 +59,27 @@ class SyndromeTable:
     patterns[i] names the i-th subspace, texts[i] is its pattern text and
     labels[i] its measurement label H[...]; matrices[i] holds its orthonormal
     basis {A_a P_b |C^k>} as rows (2^l x 2^n). Bases are pairwise orthonormal
-    across the whole table. rows stacks every basis, matrices[i] being the
-    view rows[offsets[i]:offsets[i + 1]], and conj_rows is its conjugate, so
-    conj_rows @ M gives a state's coordinates in every subspace at once.
+    across the whole table. rows stacks every basis, 2^l rows each, so
+    matrices[i] is the view rows[i * 2^l:(i + 1) * 2^l]; conj_rows is its
+    conjugate, so conj_rows @ M gives a state's coordinates in every
+    subspace at once.
     Immutable and shareable across decode runs.
     """
 
     __slots__ = ("code", "t", "pattern_filter", "patterns", "matrices",
-                 "texts", "labels", "is_complete", "rows", "conj_rows",
-                 "offsets")
+                 "texts", "labels", "is_complete", "rows", "conj_rows")
 
     def __init__(self, code, t, pattern_filter, patterns, matrices):
         rows = np.vstack(matrices)
         conj_rows = np.ascontiguousarray(rows.conj())
         rows.setflags(write=False)
         conj_rows.setflags(write=False)
-        offsets = np.cumsum([0] + [m.shape[0] for m in matrices])
-        offsets.setflags(write=False)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "t", int(t))
         object.__setattr__(self, "pattern_filter", pattern_filter)
         object.__setattr__(self, "patterns", tuple(patterns))
         object.__setattr__(self, "matrices", tuple(
-            rows[a:b] for a, b in zip(offsets[:-1], offsets[1:])))
+            rows.reshape(len(patterns), 1 << code.l, -1)))
         texts = tuple(p.text() for p in patterns)
         object.__setattr__(self, "texts", texts)
         object.__setattr__(self, "labels",
@@ -91,7 +89,6 @@ class SyndromeTable:
         object.__setattr__(self, "is_complete", len(rows) == (1 << code.n))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "conj_rows", conj_rows)
-        object.__setattr__(self, "offsets", offsets)
 
     def __setattr__(self, name, value):
         raise AttributeError("SyndromeTable is immutable")
@@ -139,7 +136,7 @@ def stack_coordinates(table, M):
     coeff = np.matmul(table.conj_rows, M)
     parts = coeff.view(np.float64)  # real and imaginary parts interleaved
     p = np.add.reduceat(np.einsum("gij,gij->gi", parts, parts),
-                        table.offsets[:-1], axis=1)
+                        np.arange(len(table)) << table.code.l, axis=1)
     if table.is_complete:
         p_none = np.zeros(len(M))
     else:
@@ -164,7 +161,7 @@ def _collapse(state, table, M, coeff, p, i):
     if i is None:
         vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
     else:
-        a, b = table.offsets[i], table.offsets[i + 1]
+        a, b = i << table.code.l, (i + 1) << table.code.l
         vec = table.matrices[i].T @ coeff[a:b] / math.sqrt(p[i])
     return PureState._trusted(state.layout, vec.reshape(state.layout.shape))
 
@@ -511,7 +508,7 @@ def correct(state, code, t, strategy, randomness, reference,
             table, M[np.newaxis], coeff[np.newaxis], ref)
         recovered = recovered[0]
     else:
-        a, b = table.offsets[i], table.offsets[i + 1]
+        a, b = i << table.code.l, (i + 1) << table.code.l
         blocks, fidelity, max_schmidt = verify_blocks(
             table, coeff[np.newaxis, a:b], p[i:i + 1], ref)
         recovered = table.code.matrix().T @ blocks[0]

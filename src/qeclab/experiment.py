@@ -17,10 +17,11 @@ joint amplitudes, each block in three phases:
 1. draw -- every trial's first activation draw comes from one numpy pass
    over the substreams of a chunk of blocks (rng.philox_words), which is
    pinned to numpy's Philox bit for bit. A trial whose first draw exceeds
-   --max-active replays its stream on the context's one generator, redrawing
-   until the cap holds. Then, block by block, the generator is resumed in
-   each trial's substream just after its accepted activation draw (one
-   state set), and the trial makes its other draws before the next trial's:
+   --max-active resumes its stream on the context's one generator just
+   after that draw, and redraws there until the cap holds. Then, block by
+   block, the generator is resumed in each trial's substream just after its
+   accepted activation draw (one state set), and the trial makes its other
+   draws before the next trial's:
    one standard-normal draw holding the channel parameters and the logical
    state, into a row of the block's preallocated array, then uniform
    deviates for the measurement walk, as many as the walk can take (one per
@@ -37,8 +38,9 @@ joint amplitudes, each block in three phases:
    masses are left-to-right sums, taken as masked cumulative sums, so no
    interpreter's float sum() enters them. A clean trial walks on the
    largest deviate below 1, which keeps its result exactly when every step
-   is certain (_ExperimentContext.walk); any other clean trial re-keys,
-   draws its deviates and walks again.
+   is certain (_ExperimentContext.walk); any other clean trial resumes its
+   stream after its activation draw as above, draws its normals again and
+   then its deviates, and walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
@@ -176,7 +178,7 @@ def read_code(ref):
 def read_amplitudes(values, count):
     """The normalized logical state given by `count` amplitudes, each a
     complex() literal or number; raises BadInput unless they parse, are
-    finite and are not all zero."""
+    finite, are not all zero and have a norm a float holds."""
     if len(values) != count:
         raise BadInput("logical state needs %d amplitudes" % count)
     try:
@@ -185,7 +187,10 @@ def read_amplitudes(values, count):
         raise BadInput("bad logical amplitude: %s" % exc)
     if not np.all(np.isfinite(vec)):
         raise BadInput("logical amplitudes must be finite")
-    nrm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(vec)
+    if not np.isfinite(nrm):
+        raise BadInput("logical state's norm overflows a float")
     if nrm < 1e-12:
         raise BadInput("logical state is the zero vector")
     return vec / nrm
@@ -279,40 +284,7 @@ class _ExperimentContext:
         # the words of a trial's first activation draw, to the end of the
         # 4-word Philox block it ends in
         self.activation_words = 4 * -(-len(self.eligible) // 4)
-        self._drawn = 0, 0, None  # see activations
         self.streams = TrialStreams()
-
-    def draw(self, trial):
-        """Phase 1 of one trial up to its walk, replayed from the start of its
-        substream: (its generator, positioned at the walk's uniform deviates,
-        activated qubits, the trial's standard normals or None when it needs
-        none)."""
-        rng = self.streams.rekey(self.config.seed, trial)
-        # draw order is part of the reproducibility contract:
-        # activation -> channel parameters -> logical state -> measurements
-        hits, _ = self._activate(rng)
-        activated = tuple(q for q, hit in zip(self.eligible, hits) if hit)
-        count = self.normal_count(activated)
-        normals = rng.standard_normal(count) if count else None
-        return rng, activated, normals
-
-    def normal_count(self, activated):
-        """How many standard normals a trial that activated `activated`
-        draws."""
-        return self.channel_normals * len(activated) + self.logical_normals
-
-    def _activate(self, rng):
-        """(hits, redraws): the activation draw of a trial whose generator
-        rng is at the start of its substream, as a list of bools over the
-        eligible qubits, redrawn while it exceeds --max-active; redraws
-        counts the draws past the first."""
-        cfg = self.config
-        redraws = -1
-        while True:
-            redraws += 1
-            hits = (rng.random(len(self.eligible)) < cfg.p).tolist()
-            if cfg.max_active is None or sum(hits) <= cfg.max_active:
-                return hits, redraws
 
     def activations(self, start, stop):
         """The accepted activation draws of trials [start, stop): (hits, a
@@ -322,27 +294,25 @@ class _ExperimentContext:
 
         Every trial's first draw comes from one numpy pass over the
         substreams (rng.philox_words). A trial whose first draw breaks
-        --max-active replays its draws on the shared generator instead. The
-        draws are a function of (seed, trial) alone, so the rows of the last
-        range drawn are kept and served again: run_range draws a chunk of
-        blocks at once, whose run_block calls then find their rows here.
+        --max-active resumes its stream on the shared generator just after
+        that draw, and redraws there until the cap holds.
         """
-        c, d, drawn = self._drawn
-        if c <= start < stop <= d:
-            return tuple(x[start - c:stop - c] for x in drawn)
         cfg = self.config
+        k = len(self.eligible)
         words = philox_words(cfg.seed, np.arange(start, stop, dtype=np.uint64),
                              self.activation_words)
-        hits = doubles(words[:, :len(self.eligible)]) < cfg.p
+        hits = doubles(words[:, :k]) < cfg.p
         last = words[:, -4:]
         redraws = np.zeros(stop - start, dtype=np.intp)
         if cfg.max_active is not None:
             for j in np.flatnonzero(hits.sum(axis=1)
                                     > cfg.max_active).tolist():
-                rng = self.streams.rekey(cfg.seed, start + j)
-                hits[j], redraws[j] = self._activate(rng)
+                rng = self.streams.resume(cfg.seed, start + j, k,
+                                          last[j].tolist())
+                while hits[j].sum() > cfg.max_active:
+                    hits[j] = rng.random(k) < cfg.p
+                    redraws[j] += 1
                 last[j] = rng.bit_generator.state["buffer"]
-        self._drawn = start, stop, (hits, redraws, last)
         return hits, redraws, last
 
     def propagate(self, activated, normals):
@@ -379,11 +349,12 @@ class _ExperimentContext:
         M = amps.reshape(g, 1 << self.code.n, -1)
         return (refs, M) + stack_coordinates(self.table, M)
 
-    def walk(self, start, P, p_none, U, clean):
-        """Phase 3's measurement walks of trials start, start + 1, ...:
-        (index, measurements, forced) arrays, as decoder.sample_walks gives
-        them. Rows `clean` of U hold CERTAIN_DEVIATE in place of the
-        deviates their clean trials skipped drawing.
+    def walk(self, P, p_none, U, clean, resume):
+        """Phase 3's measurement walks of a block's trials: (index,
+        measurements, forced) arrays, as decoder.sample_walks gives them.
+        Rows `clean` of U hold CERTAIN_DEVIATE in place of the deviates
+        their clean trials skipped drawing, and resume(j) gives the shared
+        generator at row j's deviates.
 
         A walk whose every step has conditional probability exactly 1.0
         takes outcome 1 at every step whatever its deviates: it ends in
@@ -391,14 +362,14 @@ class _ExperimentContext:
         exactly when outcome 1 is certain, so a clean walk on it ends in
         subspace 0 with nothing forced exactly when every step was certain,
         and then any deviates give its result. Any other clean trial
-        re-keys, draws its deviates and walks again.
+        resumes its stream, draws its deviates and walks again.
         """
         index, measurements, forced = sample_walks(self.table, P, p_none, U,
                                                    self.dyadic)
         redo = clean[(index[clean] != 0) | (forced[clean] != 0)]
         if len(redo):
-            for k in redo.tolist():
-                self.draw(start + k)[0].random(out=U[k])
+            for j in redo.tolist():
+                resume(j).random(out=U[j])
             index[redo], measurements[redo], forced[redo] = sample_walks(
                 self.table, P[redo], p_none[redo], U[redo], self.dyadic)
         return index, measurements, forced
@@ -413,7 +384,7 @@ class _ExperimentContext:
         found = np.flatnonzero(index < len(self.table))
         if len(found):
             i = index[found]
-            rows = (self.table.offsets[i][:, np.newaxis]
+            rows = ((i << self.code.l)[:, np.newaxis]
                     + np.arange(1 << self.code.l))
             _, fidelity[found], top[found] = verify_blocks(
                 self.table, coeff[found[:, np.newaxis], rows], p[found, i],
@@ -424,28 +395,40 @@ class _ExperimentContext:
                 self.table, M[outside], coeff[outside], refs[outside])
         return fidelity, top
 
-    def run_block(self, start, stop):
-        """Records of trials [start, stop), and the (measurements, forced
-        outcomes) of their walks as a (2, stop - start) array."""
+    def run_block(self, start, hits, redraws, last):
+        """Records of trials start, start + 1, ... whose accepted activation
+        draws are (hits, redraws, last), as activations gives them, and the
+        (measurements, forced outcomes) of their walks as a (2, len(hits))
+        array."""
         cfg = self.config
-        b = stop - start
-        k = len(self.eligible)
-        hits, redraws, last = self.activations(start, stop)
+        b, k = hits.shape
         # trials that activated the same qubits share a layout, found from
         # their activation masks packed into integers
         _, first, layout = np.unique(hits @ (1 << np.arange(k)),
                                      return_index=True, return_inverse=True)
         shapes = [tuple(q for q, hit in zip(self.eligible, hits[f].tolist())
                         if hit) for f in first.tolist()]
-        counts = [self.normal_count(a) for a in shapes]
+        # a trial's standard normals: its random channels' parameters, then
+        # its logical state
+        counts = [self.channel_normals * len(a) + self.logical_normals
+                  for a in shapes]
         U = np.full((b, len(self.table)), CERTAIN_DEVIATE)
         Z = np.empty((b, max(counts)))
         layout = layout.tolist()
-        for j, (s, end, block) in enumerate(zip(
-                layout, (k * (1 + redraws)).tolist(), last.tolist())):
-            rng = self.streams.resume(cfg.seed, start + j, end, block)
-            rng.standard_normal(out=Z[j, :counts[s]])
-            if shapes[s]:  # a clean trial's deviates wait for the walk
+        ends = (k * (1 + redraws)).tolist()
+        blocks = last.tolist()
+
+        def resume(j):
+            """The shared generator in trial start + j's substream, resumed
+            just after its accepted activation draw and then past the
+            standard normals it draws into Z[j]."""
+            rng = self.streams.resume(cfg.seed, start + j, ends[j], blocks[j])
+            rng.standard_normal(out=Z[j, :counts[layout[j]]])
+            return rng
+
+        for j in range(b):
+            rng = resume(j)
+            if shapes[layout[j]]:  # a clean trial's deviates wait for the walk
                 rng.random(out=U[j])
         # each layout's trials in trial order; the layouts run in the order
         # of their first trials
@@ -461,7 +444,7 @@ class _ExperimentContext:
             stacks.append((groups[s], refs, M, coeff, p))
         # the clean layout, mask 0, sorts first when there is one
         clean = groups[0] if not shapes[0] else np.empty(0, dtype=np.intp)
-        index, measurements, forced = self.walk(start, P, p_none, U, clean)
+        index, measurements, forced = self.walk(P, p_none, U, clean, resume)
         fidelity, top = np.empty(b), np.empty(b)
         for members, refs, M, coeff, p in stacks:
             fidelity[members], top[members] = self.verify(
@@ -494,12 +477,13 @@ class _ExperimentContext:
         records, walks = [], []
         for c in range(start, stop, chunk):
             d = min(c + chunk, stop)
-            redraws = self.activations(c, d)[1]
+            drawn = self.activations(c, d)
             for a in range(c, d, self.block_trials):
-                b = min(a + self.block_trials, d)
-                got = self.run_block(a, b)
+                rows = slice(a - c, min(a + self.block_trials, d) - c)
+                hits, redraws, last = (x[rows] for x in drawn)
+                got = self.run_block(a, hits, redraws, last)
                 records += got[0]
-                walks.append(np.vstack([got[1], redraws[a - c:b - c]]))
+                walks.append(np.vstack([got[1], redraws]))
         return records, np.concatenate(walks, axis=1)
 
 

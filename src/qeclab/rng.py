@@ -6,20 +6,19 @@ depend only on (seed, trial) and its own draw order -- never on which
 worker ran it or in what order trials executed. That makes experiment
 output byte-reproducible at any parallelism level.
 
-trial_generator builds a fresh generator for one trial. An engine running
-many trials keeps one TrialStreams instead and re-keys its generator per
-trial: a keyed Philox starts at counter 0 with an empty buffer, so setting
-that state on an existing generator yields exactly the stream a fresh one
-would, without building (and seeding from OS entropy) a new bit generator
-each time (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+trial_generator builds a fresh generator for one trial. The stream has a
+second implementation: philox_words computes the words of many trials'
+streams at once in numpy, since each 4-word Philox4x64-10 block is a pure
+function of its counter and key. A property test pins it to numpy's Philox
+bit for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11).
 
-The stream has a second implementation: philox_words computes the words of
-many trials' streams at once in numpy, since each 4-word Philox4x64-10 block
-is a pure function of its counter and key. A property test pins it to
-numpy's Philox bit for bit. TrialStreams.resume then sets the generator
-after those words, so a trial can go on drawing from numpy where the array
-pass left off.
+An engine running many trials keeps one TrialStreams and resumes its
+generator in each trial's substream after the words the array pass gave,
+so the trial goes on drawing from numpy where that pass left off: setting
+the key, counter and buffer on an existing generator yields exactly the
+stream a fresh one would from there, without building (and seeding from
+OS entropy) a new bit generator each time.
 """
 
 from __future__ import annotations
@@ -91,13 +90,13 @@ def doubles(words):
 
 
 class TrialStreams:
-    """One Philox generator, re-keyed to the substream of any trial.
+    """One Philox generator, resumed at any point of any trial's substream.
 
-    rekey(seed, trial) returns the shared generator in the state
-    trial_generator(seed, trial) starts in, so every draw a trial makes is
-    the same as from its own generator -- as long as the trial finishes
-    drawing before the next rekey. resume does the same from a point
-    partway along the substream. Forked workers inherit a copy.
+    resume(seed, trial, count, block) returns the shared generator in the
+    state trial_generator(seed, trial) reaches after its first `count`
+    words, so every draw the trial makes from there is the same as from its
+    own generator -- as long as the trial finishes drawing before the next
+    resume. Forked workers inherit a copy.
     """
 
     def __init__(self):
@@ -110,17 +109,13 @@ class TrialStreams:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
-    def rekey(self, seed, trial):
-        """The shared generator, at the start of trial's substream."""
-        # a fresh keyed Philox: counter 0 and an exhausted 4-word buffer
-        return self.resume(seed, trial, 0, None)
-
     def resume(self, seed, trial, count, block):
         """The shared generator, in trial's substream after its first
         `count` words. `block` holds the 4 words of the Philox block that
         word count - 1 lies in (words 4c - 4 .. 4c - 1, c = ceil(count / 4),
-        as philox_words gives them); it is not read when count is 0, whose
-        buffer is exhausted whatever it holds."""
+        as philox_words gives them); it is not read when count is 0, the
+        start of the substream, whose buffer is exhausted whatever it
+        holds."""
         blocks = -(-count // 4)
         self._key[:] = int(seed) & _MASK64, int(trial) & _MASK64
         self._counter[0] = blocks

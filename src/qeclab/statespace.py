@@ -115,8 +115,14 @@ class FactorLayout:
 
 
 def _fsum_norm_sq(arr):
-    # compensated summation keeps the norm-1 invariant checkable at n=10
-    return math.fsum(np.abs(arr.ravel()) ** 2)
+    # compensated summation keeps the norm-1 invariant checkable at n=10; a
+    # square or a sum that overflows gives inf, which the check refuses
+    with np.errstate(over="ignore"):
+        squares = np.abs(arr.ravel()) ** 2
+    try:
+        return math.fsum(squares)
+    except OverflowError:
+        return math.inf
 
 
 class PureState:

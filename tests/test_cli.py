@@ -480,6 +480,12 @@ def test_simulate_rejects_bad_parameters():
      "malformed code file: basis label (0) repeats"),
     (1, -1, [{"basis": "(0)", "re": 1.0}],
      "malformed code file: l = -1 is negative"),
+    # squares, and a sum of squares, past the largest float: refused with
+    # no overflow warning
+    (1, 0, [{"basis": "(0)", "re": 1e308}, {"basis": "(1)", "re": 1e308}],
+     "state not normalized: |amps|^2 = inf"),
+    (1, 0, [{"basis": "(0)", "re": 1.3e154}, {"basis": "(1)", "im": 1.3e154}],
+     "state not normalized: |amps|^2 = inf"),
 ])
 @pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
 def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
@@ -522,6 +528,20 @@ def test_a_nan_overlap_is_refused_by_name(argv):
     assert out == ""
     assert err == ("error: bad overlap in channel spec 'decoherence:nan': "
                    "overlap must be finite, got (nan+0j)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--code", "phase3", "--filter", "phase-only", "--p", "0.5",
+     "--trials", "3", "--logical", "1e200,1e200"],
+    ["demo3", "--c0", "1e308", "--c1", "1e308"],
+])
+def test_a_logical_state_whose_norm_overflows_is_refused(argv):
+    # finite amplitudes whose norm is not: dividing by it would leave the
+    # zero state
+    rc, out, err = run(argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: logical state's norm overflows a float\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -146,12 +146,28 @@ def test_a_trial_range_does_not_depend_on_its_block(config, data):
     assert part == whole[start:stop]
 
 
+def live_draw(ctx, trial):
+    """(its generator, at the walk's deviates; activated qubits; standard
+    normals) of one trial, drawn from a fresh trial_generator in the draw
+    order reference_run keeps."""
+    config = ctx.config
+    rng = trial_generator(config.seed, trial)
+    while True:
+        activated = tuple(q for q in ctx.eligible if rng.random() < config.p)
+        if (config.max_active is None
+                or len(activated) <= config.max_active):
+            break
+    normals = rng.standard_normal(ctx.channel_normals * len(activated)
+                                  + ctx.logical_normals)
+    return rng, activated, normals
+
+
 def live_walks(ctx, start, stop):
     """(index, measurements, forced) of trials [start, stop), each walked
     alone by sample_walk on deviates drawn live from its own stream."""
     out = []
     for trial in range(start, stop):
-        rng, activated, normals = ctx.draw(trial)
+        rng, activated, normals = live_draw(ctx, trial)
         *_, p, p_none = ctx.propagate(activated, [normals])
         i, trace, forced = sample_walk(ctx.table, p[0], p_none[0], rng,
                                        ctx.dyadic)
@@ -165,7 +181,7 @@ def test_block_walks_match_live_walks(config):
     # clean trials skip drawing their deviates; the block's walks must not
     # show it
     ctx = _ExperimentContext(config)
-    records, walks = ctx.run_block(0, config.trials)
+    records, walks = ctx.run_block(0, *ctx.activations(0, config.trials))
     index, measurements, forced = live_walks(ctx, 0, config.trials)
     assert np.array_equal(walks, np.stack([measurements, forced]))
     texts = ctx.table.texts + ("none",)
@@ -179,18 +195,49 @@ def test_clean_trials_walk_as_with_their_own_deviates(code, strategy):
                               channel="random:2", max_active=1, trials=60,
                               seed=11, strategy=strategy)
     ctx = _ExperimentContext(config)
-    _, walks = ctx.run_block(0, config.trials)
+    _, walks = ctx.run_block(0, *ctx.activations(0, config.trials))
     index, measurements, forced = live_walks(ctx, 0, config.trials)
     assert np.array_equal(walks, np.stack([measurements, forced]))
     # shor9's complement holds rounding dust, so some of its clean walks
     # are not certain and draw their deviates after all: the run above
     # took that path too
-    *_, P, p_none = ctx.propagate((), [ctx.draw(k)[2]
+    *_, P, p_none = ctx.propagate((), [live_draw(ctx, k)[2]
                                        for k in range(config.trials)])
     certain = sample_walks(ctx.table, P, p_none,
                            np.full(P.shape, CERTAIN_DEVIATE), ctx.dyadic)
     if code == "shor9":
         assert ((certain[0] != 0) | (certain[2] != 0)).any()
+
+
+def test_every_walk_deviate_comes_from_its_trials_stream(monkeypatch):
+    # a clean walk that is not certain is walked again on its own deviates,
+    # which its result shows only with probability about 1e-16: any deviate
+    # below 1 gives the same outcomes. So the deviates themselves are
+    # checked, those of trials over the cap included.
+    config = ExperimentConfig(code="shor9", channel="random:2", p=0.2,
+                              max_active=2, trials=200, seed=1)
+    ctx = _ExperimentContext(config)
+    seen = []
+    real_walk = experiment._ExperimentContext.walk
+
+    def walk(self, P, p_none, U, clean, resume):
+        got = real_walk(self, P, p_none, U, clean, resume)
+        seen.append((U.copy(), clean.tolist()))
+        return got
+
+    monkeypatch.setattr(experiment._ExperimentContext, "walk", walk)
+    hits, redraws, last = ctx.activations(0, config.trials)
+    assert redraws.any()
+    ctx.run_block(0, hits, redraws, last)
+    (U, clean), = seen
+    redone = 0
+    for trial in range(config.trials):
+        if trial in clean and (U[trial] == CERTAIN_DEVIATE).all():
+            continue
+        rng = live_draw(ctx, trial)[0]
+        assert np.array_equal(U[trial], rng.random(len(ctx.table)))
+        redone += trial in clean
+    assert redone > 0
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "hierarchical"])
@@ -203,10 +250,18 @@ def test_csv_matches_a_per_trial_walk_loop(monkeypatch, strategy):
                           dict(code="phase3", pattern_filter="phase-only",
                                channel="decoherence:0.3", p=0.3))]
     batched = [run_experiment(c) for c in configs]
+    starts = []
+    real_block = experiment._ExperimentContext.run_block
 
-    def walk(self, start, P, p_none, U, clean):
-        return live_walks(self, start, start + len(P))
+    def run_block(self, start, hits, redraws, last):
+        starts.append(start)
+        return real_block(self, start, hits, redraws, last)
 
+    def walk(self, P, p_none, U, clean, resume):
+        return live_walks(self, starts[-1], starts[-1] + len(P))
+
+    monkeypatch.setattr(experiment._ExperimentContext, "run_block",
+                        run_block)
     monkeypatch.setattr(experiment._ExperimentContext, "walk", walk)
     for config, (records, summary) in zip(configs, batched):
         want_records, want_summary = run_experiment(config)

@@ -1,8 +1,8 @@
 """Property tests of the trial streams and prefetched deviates.
 
 The engine draws many trials' activations in one numpy pass over their
-Philox streams, then re-keys or resumes one shared generator per trial and
-draws each trial's walk deviates ahead of the walk, for
+Philox streams, then resumes one shared generator per trial and draws each
+trial's walk deviates ahead of the walk, for
 decoder.sample_walks; each must reproduce, draw for draw, what a fresh
 rng.trial_generator(seed, trial) would give.
 """
@@ -40,7 +40,7 @@ def test_a_rekeyed_generator_replays_each_trials_stream(keys):
     streams = TrialStreams()
     # any order, repeated keys included, and a stream abandoned partway
     for seed, trial, sizes in keys + keys[::-1]:
-        got = draws(streams.rekey(seed, trial), sizes)
+        got = draws(streams.resume(seed, trial, 0, None), sizes)
         want = draws(trial_generator(seed, trial), sizes)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
