@@ -25,8 +25,7 @@ from qeclab import (
 code = load_code("shor9")
 table = build_syndrome_table(code, 1)
 print("code %s: %d syndrome subspaces (%d of %d dimensions used)"
-      % (code.name, len(table.patterns),
-         2 * len(table.patterns), 1 << code.n))
+      % (code.name, len(table), 2 * len(table), 1 << code.n))
 
 rng = trial_generator(55, 0)
 logical = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -80,7 +79,7 @@ for trial in range(400):
         assert rep.fidelity >= 1 - 1e-8
 for strategy, ns in counts.items():
     print("  %-13s mean %.2f  min %d  max %d  (of %d subspaces)"
-          % (strategy, np.mean(ns), min(ns), max(ns), len(table.patterns)))
+          % (strategy, np.mean(ns), min(ns), max(ns), len(table)))
 
 print("\n== a worked dyadic trace ==")
 rep = correct(noisy, code, 1, "hierarchical", trial_generator(56, 7), ref,

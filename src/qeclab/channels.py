@@ -39,6 +39,7 @@ import math
 import numpy as np
 
 from .bitstrings import BitString
+from .codes import json_int
 from .statespace import TOL_NORM, FactorLayout, PureState
 
 _UNITARITY_CONSTRAINTS = ("row0_norm", "row1_norm", "row_orthogonality")
@@ -251,7 +252,7 @@ def channel_to_dict(ch):
 
 def channel_from_dict(data):
     try:
-        d = int(data["env_dim"])
+        d = json_int(data, "env_dim")
         vecs = {name: np.array([complex(re, im) for re, im in data[name]])
                 for name in ("a00", "a01", "a10", "a11")}
     except (KeyError, TypeError, ValueError) as exc:

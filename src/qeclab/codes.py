@@ -197,6 +197,17 @@ class ConditionError(Exception):
         self.report = report
 
 
+def _report(condition, t, keys, n, rows, count, worst):
+    """The ConditionReport of a check whose first violating Gram entries
+    are given as (P, k, Q, m, value) rows, P and Q indexing keys: one
+    ErrorPattern per distinct pattern among them."""
+    used = {i for P, _, Q, _, _ in rows for i in (P, Q)}
+    patterns = {i: ErrorPattern.from_key(keys[i], n) for i in used}
+    return ConditionReport(condition, t, [
+        (k, m, patterns[P], patterns[Q], value)
+        for P, k, Q, m, value in rows], count, worst)
+
+
 def condition_patterns(n, t, condition):
     """The patterns a condition ranges over at weight t, canonically ordered:
     amplitude-only, phase-only, or (general) all of union weight <= t."""
@@ -204,16 +215,15 @@ def condition_patterns(n, t, condition):
             for key in pattern_keys(n, t, _CHOICES[condition]).tolist()]
 
 
-def pattern_images(code, patterns):
-    """Stacked {A_a P_b |C^k>} rows, pattern-major then k; shape
-    (len(patterns) * 2^l, 2^n).
+def pattern_images(code, keys):
+    """Stacked {A_a P_b |C^k>} rows of the patterns with the given canonical
+    keys, pattern-major then k; shape (len(keys) * 2^l, 2^n).
 
     Entry v of A_a P_b |C> is (-1)^(b.(v+a)) C[v+a], so every image is one
     gather of the code matrix at v+a, then -- for patterns with a phase
     part, exactly as apply_pattern does -- a product with its signs.
     """
-    a = np.array([p.alpha.to_index() for p in patterns], dtype=np.intp)
-    b = np.array([p.beta.to_index() for p in patterns], dtype=np.intp)
+    a, b = key_indices(np.asarray(keys, dtype=np.int64), code.n)
     idx = np.arange(1 << code.n) ^ a[:, np.newaxis]
     C = code.matrix()
     rows = C[np.arange(len(C))[:, np.newaxis], idx[:, np.newaxis, :]]
@@ -342,7 +352,7 @@ def _ball_report(code, condition, t):
     beta = key_indices(keys, n)[1]
     reverse = key_indices(u, n)[0]  # basis index <-> key bits
     product_keys = reverse[pc] | (reverse[pd] << n)
-    rows = []  # (P, j, Q, k, E) in the Gram's row-major order
+    rows = []  # (P, j, Q, k, Gram entry) in the Gram's row-major order
     # rows P per chunk, for about 2^16 entries in product_bad[e]
     chunk = max(1, (1 << 16) // max(len(product_keys) * K * K, 1))
     for start in range(0, len(keys), chunk):
@@ -353,34 +363,26 @@ def _ball_report(code, condition, t):
         h, k, j = np.nonzero(product_bad[e])
         P_h, Q_h, E_h = P[p[h]], Q[p[h], e[h]], e[h]
         first = np.lexsort((k, Q_h, j, P_h))[:_VIOLATION_CAP - len(rows)]
-        rows.extend(zip(P_h[first].tolist(), j[first].tolist(),
-                        Q_h[first].tolist(), k[first].tolist(),
-                        E_h[first].tolist()))
+        P_h, j, Q_h, k, E_h = (a[first] for a in (P_h, j, Q_h, k, E_h))
+        value = product_T[E_h, k, j]
+        value = np.where(np.bitwise_count(beta[Q_h] & pc[E_h]) & 1, -value,
+                         value)
+        # positive zeros, as a Gram product of real images gives them
+        rows.extend(zip(P_h.tolist(), j.tolist(), Q_h.tolist(), k.tolist(),
+                        (value + 0.0).astype(complex).tolist()))
         if len(rows) == _VIOLATION_CAP:
             break
-    patterns = {}
-    violations = []
-    for P, j, Q, k, e in rows:
-        for i in (P, Q):
-            if i not in patterns:
-                patterns[i] = ErrorPattern.from_key(keys[i], n)
-        value = complex(product_T[e, k, j])
-        if np.bitwise_count(beta[Q] & pc[e]) & 1:
-            value = -value
-        # positive zeros, as a Gram product of real images gives them
-        violations.append((j, k, patterns[P], patterns[Q],
-                           complex(value.real + 0.0, value.imag + 0.0)))
-    return ConditionReport(condition, t, violations, count, worst)
+    return _report(condition, t, keys, n, rows, count, worst)
 
 
 def _gram_check(code, condition, t):
-    """Check one condition at weight t: (ConditionReport, patterns, images).
+    """Check one condition at weight t: (ConditionReport, keys, images).
 
     A check with more image rows R = 2^l V_t than amplitudes 2^n breaks the
     quantum Hamming bound and cannot pass: its report comes from the 2t-ball
-    (_ball_report), and patterns and images are None. Any other check
-    builds its images and their Gram matrix, and a passing one's syndrome
-    table takes those images as its bases.
+    (_ball_report), and keys and images are None. Any other check builds
+    the images of its patterns' canonical keys and their Gram matrix, and a
+    passing one's syndrome table takes both as they are.
     """
     if not 0 <= t <= code.n:
         raise ValueError("t = %d lies outside [0, n = %d]" % (t, code.n))
@@ -391,22 +393,20 @@ def _gram_check(code, condition, t):
         return _ball_report(code, condition, t), None, None
     _refuse_over_cap(R << code.n, "%d pattern images of 2^%d amplitudes "
                      "and their Gram matrix" % (R, code.n), condition, t)
-    patterns = condition_patterns(code.n, t, condition)
+    keys = pattern_keys(code.n, t, _CHOICES[condition])
     K = 1 << code.l
-    B = pattern_images(code, patterns)
+    B = pattern_images(code, keys)
     G = B.conj() @ B.T
     diagonal = G.diagonal().copy()  # the Gram entries the violations report
     G.flat[::len(B) + 1] -= 1  # G - I, in place
     dev = np.abs(G)
     worst = float(dev.max()) if len(B) else 0.0
     bad = np.argwhere(dev > CHECK_TOL)
-    violations = []
-    for i, j in bad[:_VIOLATION_CAP]:
-        violations.append((int(i % K), int(j % K),
-                           patterns[i // K], patterns[j // K],
-                           complex(diagonal[i] if i == j else G[i, j])))
-    return (ConditionReport(condition, t, violations, len(bad), worst),
-            patterns, B)
+    rows = [(i // K, i % K, j // K, j % K,
+             complex(diagonal[i] if i == j else G[i, j]))
+            for i, j in bad[:_VIOLATION_CAP].tolist()]
+    return (_report(condition, t, keys, code.n, rows, len(bad), worst),
+            keys, B)
 
 
 def run_checker(code, condition, t):
@@ -454,16 +454,23 @@ def code_to_dict(code):
             "t": code.claimed_t, "vectors": vectors}
 
 
+def json_int(data, field):
+    """data[field] if it is a JSON integer (not a bool), else TypeError."""
+    value = data[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an integer, not %r" % (field, value))
+    return value
+
+
 def code_from_dict(data):
     try:
         name = data["name"]
-        n = int(data["n"])
-        l = int(data["l"])
-        t = int(data["t"])
+        n, l, t = (json_int(data, field) for field in ("n", "l", "t"))
         raw_vectors = data["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed code file: %s" % exc)
-    if not 0 <= n or (1 << n) > DIM_CAP:
+    # compared before any shift: 1 << n is 2^n bits of memory
+    if not 0 <= n < DIM_CAP.bit_length():
         raise ValueError("malformed code file: %d qubits" % n)
     if l < 0:
         raise ValueError("malformed code file: l = %d is negative" % l)

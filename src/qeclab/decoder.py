@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import apply_amplitude, apply_phase
+from .errors import ErrorPattern, apply_amplitude, apply_phase, pattern_texts
 from .codes import ConditionError, _gram_check
 from .statespace import TOL_NORM, TOL_ZERO, PureState
 
@@ -48,39 +48,30 @@ _FILTER_CONDITIONS = {"all": "general", "phase-only": "phase",
                       "amplitude-only": "amplitude"}
 PATTERN_FILTERS = tuple(_FILTER_CONDITIONS)
 
-#: Gram tolerance for a whole syndrome table (looser than the per-inner-
-#: product checker tolerance, since the table aggregates thousands of them).
-TABLE_TOL = 1e-8
-
 
 class SyndromeTable:
     """Ordered syndrome subspaces H_ab for one (code, t, pattern filter).
 
-    patterns[i] names the i-th subspace, texts[i] is its pattern text and
-    labels[i] its measurement label H[...]; matrices[i] holds its orthonormal
-    basis {A_a P_b |C^k>} as rows (2^l x 2^n). Bases are pairwise orthonormal
-    across the whole table. rows stacks every basis, 2^l rows each, so
-    matrices[i] is the view rows[i * 2^l:(i + 1) * 2^l]; conj_rows is its
-    conjugate, so conj_rows @ M gives a state's coordinates in every
-    subspace at once.
-    Immutable and shareable across decode runs.
+    keys[i] is the canonical key (ErrorPattern.sort_key) of the pattern
+    naming subspace i, texts[i] its text and labels[i] its measurement
+    label H[...]. rows, the checker's images made read-only, stacks the
+    subspaces' bases {A_a P_b |C^k>}, 2^l rows each, orthonormal across the
+    whole table; conj_rows @ M gives a state's coordinates in every
+    subspace at once. Immutable and shareable across decode runs.
     """
 
-    __slots__ = ("code", "t", "pattern_filter", "patterns", "matrices",
-                 "texts", "labels", "is_complete", "rows", "conj_rows")
+    __slots__ = ("code", "t", "pattern_filter", "keys", "texts", "labels",
+                 "is_complete", "rows", "conj_rows")
 
-    def __init__(self, code, t, pattern_filter, patterns, matrices):
-        rows = np.vstack(matrices)
+    def __init__(self, code, t, pattern_filter, keys, rows):
         conj_rows = np.ascontiguousarray(rows.conj())
-        rows.setflags(write=False)
-        conj_rows.setflags(write=False)
+        for array in (keys, rows, conj_rows):
+            array.setflags(write=False)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "t", int(t))
         object.__setattr__(self, "pattern_filter", pattern_filter)
-        object.__setattr__(self, "patterns", tuple(patterns))
-        object.__setattr__(self, "matrices", tuple(
-            rows.reshape(len(patterns), 1 << code.l, -1)))
-        texts = tuple(p.text() for p in patterns)
+        object.__setattr__(self, "keys", keys)
+        texts = tuple(pattern_texts(keys, code.n))
         object.__setattr__(self, "texts", texts)
         object.__setattr__(self, "labels",
                            tuple("H[%s]" % text for text in texts))
@@ -94,7 +85,7 @@ class SyndromeTable:
         raise AttributeError("SyndromeTable is immutable")
 
     def __len__(self):
-        return len(self.patterns)
+        return len(self.keys)
 
 
 def build_syndrome_table(code, t, pattern_filter="all"):
@@ -102,22 +93,18 @@ def build_syndrome_table(code, t, pattern_filter="all"):
 
     The matching condition (general for "all", phase for "phase-only",
     amplitude for "amplitude-only") must pass at t; otherwise the failing
-    ConditionReport is raised inside a ConditionError. The table takes the
-    checker's pattern images as its bases, and the checker's Gram matrix of
-    them is additionally verified against the identity within 1e-8.
+    ConditionReport is raised inside a ConditionError. A passing check
+    leaves every entry of its images' Gram matrix within 1e-9 of the
+    identity's, and the table takes its keys and images as they are.
     """
     if pattern_filter not in PATTERN_FILTERS:
         raise ValueError("unknown pattern filter %r (choose from %s)"
                          % (pattern_filter, ", ".join(PATTERN_FILTERS)))
-    report, patterns, rows = _gram_check(
+    report, keys, rows = _gram_check(
         code, _FILTER_CONDITIONS[pattern_filter], t)
     if not report.passed:
         raise ConditionError(report)
-    if report.worst > TABLE_TOL:  # pragma: no cover - excluded by the check
-        raise AssertionError("syndrome table Gram deviates by %.3e"
-                             % report.worst)
-    return SyndromeTable(code, t, pattern_filter, patterns,
-                         rows.reshape(len(patterns), 1 << code.l, -1))
+    return SyndromeTable(code, t, pattern_filter, keys, rows)
 
 
 # -- projective measurement ----------------------------------------------------
@@ -149,7 +136,9 @@ def stack_coordinates(table, M):
 def _coordinates(state, table):
     """One state in syndrome coordinates: (M, coeff, p, p_none), the
     one-state case of stack_coordinates with M the state's matrix."""
-    _check_compatible(state, table)
+    if state.qubit_count != table.code.n:
+        raise ValueError("state has %d qubits but the table's code has %d"
+                         % (state.qubit_count, table.code.n))
     M = state.matrix()
     coeff, p, p_none = stack_coordinates(table, M[np.newaxis])
     return M, coeff[0], p[0], float(p_none[0])
@@ -162,7 +151,7 @@ def _collapse(state, table, M, coeff, p, i):
         vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
     else:
         a, b = i << table.code.l, (i + 1) << table.code.l
-        vec = table.matrices[i].T @ coeff[a:b] / math.sqrt(p[i])
+        vec = table.rows[a:b].T @ coeff[a:b] / math.sqrt(p[i])
     return PureState._trusted(state.layout, vec.reshape(state.layout.shape))
 
 
@@ -332,8 +321,9 @@ def sample_walk(table, p, p_none, randomness, dyadic):
 def _measure(state, table, randomness, dyadic):
     M, coeff, p, p_none = _coordinates(state, table)
     i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
-    return (_collapse(state, table, M, coeff, p, i),
-            None if i is None else table.patterns[i], trace)
+    syndrome = (None if i is None
+                else ErrorPattern.from_key(table.keys[i], table.code.n))
+    return _collapse(state, table, M, coeff, p, i), syndrome, trace
 
 
 def measure_exhaustive(state, table, randomness):
@@ -361,12 +351,6 @@ def measure_hierarchical(state, table, randomness):
     Returns (collapsed_state, syndrome_pattern_or_None, outcome_trace).
     """
     return _measure(state, table, randomness, dyadic=True)
-
-
-def _check_compatible(state, table):
-    if state.qubit_count != table.code.n:
-        raise ValueError("state has %d qubits but the table's code has %d"
-                         % (state.qubit_count, table.code.n))
 
 
 #: strategy name -> does its walk split blocks dyadically?
@@ -514,7 +498,8 @@ def correct(state, code, t, strategy, randomness, reference,
         recovered = table.code.matrix().T @ blocks[0]
     fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
     return DecodeReport(
-        syndrome=None if i is None else table.patterns[i],
+        syndrome=(None if i is None
+                  else ErrorPattern.from_key(table.keys[i], table.code.n)),
         outcome_trace=trace,
         recovered_state=PureState._trusted(
             state.layout, recovered.reshape(state.layout.shape)),

@@ -65,7 +65,7 @@ class ErrorPattern:
         return cls(BitString.from_text(a_part), BitString.from_text(p_part))
 
     def text(self):
-        return "A%rP%r" % (self.alpha, self.beta)
+        return pattern_texts([self.sort_key()], len(self.alpha))[0]
 
     def __repr__(self):
         return self.text()
@@ -85,16 +85,8 @@ class ErrorPattern:
 
     def sort_key(self):
         """Canonical total order: little-endian value of alpha||beta."""
-        key = 0
-        for i, b in enumerate(self.alpha.bits):
-            key |= b << i
-        n = len(self.alpha)
-        for i, b in enumerate(self.beta.bits):
-            key |= b << (n + i)
-        return key
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return sum(b << i for i, b in enumerate(self.alpha.bits
+                                                + self.beta.bits))
 
 
 # -- operator application ------------------------------------------------------
@@ -163,6 +155,13 @@ def pattern_keys(n, t, choices=PAULI_CHOICES):
         last = np.repeat(q, len(choices))
         levels.append(keys)
     return np.sort(np.concatenate(levels))
+
+
+def pattern_texts(keys, n):
+    """The text A(alpha)P(beta) of each canonical key on n qubits, one str
+    each: bit i of a key is alpha's position i, bit n + i beta's."""
+    bits = [bin(int(key) | 1 << 2 * n)[:2:-1] for key in keys]  # bit 0 first
+    return ["A(%s)P(%s)" % (b[:n], b[n:]) for b in bits]
 
 
 def key_indices(keys, n):

@@ -187,12 +187,16 @@ def read_amplitudes(values, count):
         raise BadInput("bad logical amplitude: %s" % exc)
     if not np.all(np.isfinite(vec)):
         raise BadInput("logical amplitudes must be finite")
+    if not vec.any():
+        raise BadInput("logical state is the zero vector")
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(vec)
     if not np.isfinite(nrm):
         raise BadInput("logical state's norm overflows a float")
-    if nrm < 1e-12:
-        raise BadInput("logical state is the zero vector")
+    if nrm < 1e-12:  # may have underflowed: scale by the largest modulus,
+        # real and imaginary parts apart (a complex division can give NaN)
+        vec = (vec.view(np.float64) / np.max(np.abs(vec))).view(vec.dtype)
+        nrm = np.linalg.norm(vec)
     return vec / nrm
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,13 @@ def test_channel_from_dict_rejects_malformed_data():
         channel_from_dict(short)
     with pytest.raises(ValueError):
         channel_from_dict({"env_dim": 2})
+    # env_dim must be a JSON integer: int() would truncate 2.5 and read
+    # true as 1
+    for env_dim in (2.5, True, "2", 2.0):
+        with pytest.raises(ValueError, match=re.escape(
+                "malformed channel data: env_dim must be an integer, not %r"
+                % env_dim)):
+            channel_from_dict(dict(data, env_dim=env_dim))
     # parsing keeps broken isometries loadable; validate() reports them
     data["a00"] = [[0.5, 0.0], [0.0, 0.0]]
     loaded = channel_from_dict(data)

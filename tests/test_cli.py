@@ -4,15 +4,17 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qeclab
-from qeclab import cli, experiment, save_code
+from qeclab import cli, code_to_dict, experiment, load_code, save_code
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
@@ -501,6 +503,47 @@ def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
         assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.7), ("l", True), ("t", 1.9), ("n", "3"), ("t", None),
+])
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
+def test_a_code_file_integer_field_must_be_a_json_integer(
+        tmp_path, command, field, value):
+    # int() would truncate 3.7 and 1.9 and read true as 1
+    data = code_to_dict(load_code("phase3"))
+    data[field] = value
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(command + ["--code", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: malformed code file: %s must be an integer, "
+                   "not %r\n" % (field, value))
+
+
+def test_a_code_file_with_a_huge_n_exits_two(tmp_path):
+    # in a child process under a 2 GB address-space limit, so that shifting
+    # 1 by n before the check fails the test instead of the machine
+    data = code_to_dict(load_code("phase3"))
+    data["n"] = 10 ** 12
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qeclab", "verify", "--code", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: malformed code file: %d qubits\n"
+                           % 10 ** 12)
+
+
 def test_simulate_refuses_a_repeated_qubit():
     # a repeated qubit would be eligible, and entangled, twice
     rc, out, err = run(["simulate", "--code", "shor9", "--channel", "random:2",
@@ -542,6 +585,35 @@ def test_a_logical_state_whose_norm_overflows_is_refused(argv):
     assert rc == 2
     assert out == ""
     assert err == "error: logical state's norm overflows a float\n"
+
+
+@pytest.mark.parametrize("c0", ["1e-13", "1e-200", "5e-324", "1e-200j"])
+def test_a_tiny_logical_state_is_normalized(c0):
+    # a norm below 1e-12, or one that underflows to 0, is not the zero
+    # vector: the state is (1, 0) up to its phase
+    c = complex(c0) / abs(complex(c0))
+    assert experiment.read_amplitudes([c0, "0"], 2).tolist() == [c, 0j]
+    rc, out, err = run(["simulate", "--code", "phase3", "--filter",
+                        "phase-only", "--p", "0.5", "--trials", "2",
+                        "--logical", c0 + ",0"])
+    assert rc == 0
+    assert out.startswith("trial,")
+    assert json.loads(err)["results"]["success_count"] == 2
+    rc, out, err = run(["demo3", "--c0", c0, "--c1", "0"])
+    assert rc == 0
+    assert ("logical state: (%.4f%+.4fj)|0> + (0.0000+0.0000j)|1>"
+            % (c.real, c.imag)) in out
+    assert "fidelity against the encoded block: 1.000000000000" in out
+
+
+def test_a_logical_state_keeps_every_bit_it_had():
+    # states the zero check never refused are divided by their norm alone
+    for values in (["0.6", "0.8"], ["1e-6", "3e-7j"], ["3", "-4j"]):
+        vec = np.array([complex(v) for v in values])
+        assert (experiment.read_amplitudes(values, 2).tobytes()
+                == (vec / np.linalg.norm(vec)).tobytes())
+    with pytest.raises(experiment.BadInput, match="the zero vector"):
+        experiment.read_amplitudes(["0", "-0j"], 2)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

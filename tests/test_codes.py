@@ -69,8 +69,8 @@ def test_condition_checker_verdicts(name):
 ])
 def test_only_a_check_within_the_hamming_bound_builds_images(
         monkeypatch, condition, t, gram):
-    def no_images(code, patterns):
-        raise LookupError("built %d pattern images" % len(patterns))
+    def no_images(code, keys):
+        raise LookupError("built %d pattern images" % len(keys))
 
     monkeypatch.setattr(codes, "pattern_images", no_images)
     if gram:

@@ -25,6 +25,7 @@ from qeclab import (
     syndrome_distribution,
     trial_generator,
 )
+from qeclab import decoder
 from qeclab.decoder import sample_walk
 
 from walk_trees import check_strategies
@@ -63,7 +64,7 @@ def test_table_requires_the_matching_condition():
     assert not exc.value.report.passed
     # the phase-only condition holds, so that table builds
     table = build_syndrome_table(code, 1, "phase-only")
-    assert len(table.patterns) == 4
+    assert len(table) == 4
 
 
 def test_table_rejects_unknown_filter():
@@ -74,15 +75,33 @@ def test_table_rejects_unknown_filter():
 def test_table_layout_for_general_patterns():
     code = load_code("shor9")
     table = build_syndrome_table(code, 1)
-    assert len(table.patterns) == 28  # 1 + 3*9 weight <= 1 patterns
-    assert table.patterns == tuple(condition_patterns(9, 1, "general"))
+    assert len(table) == 28  # 1 + 3*9 weight <= 1 patterns
+    assert table.keys.shape == (28,)
+    assert (tuple(ErrorPattern.from_key(k, 9) for k in table.keys)
+            == tuple(condition_patterns(9, 1, "general")))
     assert table.labels[0] == "H[A(000000000)P(000000000)]"
     assert table.labels[1] == "H[A(100000000)P(000000000)]"
     assert not table.is_complete  # 56 of 512 dimensions
     # every subspace holds one image per code vector, all orthonormal
-    stacked = np.concatenate([m for m in table.matrices], axis=0)
-    gram = stacked.conj() @ stacked.T
+    assert table.rows.shape == (56, 512)
+    gram = table.rows.conj() @ table.rows.T
     assert np.max(np.abs(gram - np.eye(56))) < 1e-10
+
+
+def test_table_holds_the_checkers_arrays_read_only(monkeypatch):
+    checks, real_check = [], decoder._gram_check
+
+    def gram_check(code, condition, t):
+        checks.append(real_check(code, condition, t))
+        return checks[-1]
+
+    monkeypatch.setattr(decoder, "_gram_check", gram_check)
+    table = build_syndrome_table(load_code("shor9"), 1)
+    (report, keys, rows), = checks
+    assert table.keys is keys and table.rows is rows
+    for array in (table.keys, table.rows, table.conj_rows):
+        assert not array.flags.writeable
+    assert np.array_equal(table.conj_rows, rows.conj())
 
 
 def test_complete_tables_cover_the_whole_space():
@@ -104,7 +123,7 @@ def test_uncorrupted_state_yields_the_zero_syndrome():
     table = build_syndrome_table(code, 1)
     for measure in (measure_exhaustive, measure_hierarchical):
         collapsed, syndrome, trace = measure(ref, table, Stream([0.5] * 30))
-        assert syndrome == table.patterns[0]
+        assert syndrome == ErrorPattern.from_key(table.keys[0], 9)
         assert syndrome.is_zero()
         assert np.allclose(collapsed.amps, ref.amps, atol=1e-12)
         assert all(outcome in (0, 1) for _, outcome in trace)
@@ -114,7 +133,8 @@ def test_forced_outcomes_walk_the_canonical_order():
     code, ref = encoded("phase3")
     table = build_syndrome_table(code, 1, "phase-only")
     st = decohered(ref, (0, 1))
-    for i, expected in enumerate(table.patterns):
+    for i, key in enumerate(table.keys):
+        expected = ErrorPattern.from_key(key, 3)
         collapsed, syndrome, trace = measure_exhaustive(st, table, Stream([1.0] * i + [0.0]))
         assert syndrome == expected
         assert len(trace) == i + 1
@@ -163,8 +183,8 @@ def test_measurement_collapse_is_consistent_with_distribution():
     eps = 1e-9
     _, syn_low, _ = measure_exhaustive(st, table, Stream([probs[0] - eps]))
     _, syn_high, _ = measure_exhaustive(st, table, Stream([probs[0] + eps, 0.0]))
-    assert syn_low == table.patterns[0]
-    assert syn_high == table.patterns[1]
+    assert syn_low == ErrorPattern.from_key(table.keys[0], 3)
+    assert syn_high == ErrorPattern.from_key(table.keys[1], 3)
 
 
 # -- distributions -------------------------------------------------------------

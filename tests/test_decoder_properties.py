@@ -19,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qeclab import (apply_channel, apply_pattern, build_syndrome_table,
-                    encode, fidelity_against, load_code, measure_exhaustive,
-                    measure_hierarchical, random_channel,
+from qeclab import (ErrorPattern, apply_channel, apply_pattern,
+                    build_syndrome_table, encode, fidelity_against, load_code,
+                    measure_exhaustive, measure_hierarchical, random_channel,
                     schmidt_diagnostics, syndrome_distribution)
 from qeclab.decoder import (sample_walk, sample_walks, stack_coordinates,
                             verify_complement)
@@ -64,7 +64,8 @@ def corrupted_blocks(draw):
 def projectors(table):
     """Dense projectors onto each subspace, built from the pattern images."""
     out = []
-    for pat in table.patterns:
+    for key in table.keys:
+        pat = ErrorPattern.from_key(key, table.code.n)
         W = np.stack([apply_pattern(pat, v).amps.ravel()
                       for v in table.code.vectors])
         out.append(W.T @ W.conj())
@@ -154,7 +155,8 @@ def test_scripted_walks_collapse_onto_the_oracle_projection(tables, block,
     else:
         expected = M - sum(proj @ M for proj in P)
     expected = expected / np.linalg.norm(expected)
-    syndrome = table.patterns[target] if target < N else None
+    syndrome = (ErrorPattern.from_key(table.keys[target], table.code.n)
+                if target < N else None)
     walks = [
         (measure_exhaustive, [1.0] * target + [0.0] * (target < N)),
         (measure_hierarchical, dyadic_deviates(target, N, table.is_complete)),

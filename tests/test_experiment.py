@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qeclab import experiment
+from qeclab import ErrorPattern, experiment
 from qeclab.channels import (QubitChannel, channel_to_dict, make_decoherence,
                              save_channel)
 from qeclab.cli import main
@@ -204,11 +204,27 @@ def test_an_invalid_channel_file_exits_two(tmp_path):
                         "--trials", "5"])
     assert rc == 2
     assert "invalid channel" in err
+    # an env_dim that is not a JSON integer, though it rounds to the
+    # vectors' length
+    data = channel_to_dict(make_decoherence(0.0))
+    for env_dim in (2.5, 2.0):
+        data["env_dim"] = env_dim
+        path.write_text(json.dumps(data))
+        rc, out, err = run(["simulate", "--code", "phase3", "--filter",
+                            "phase-only", "--p", "0.5", "--channel",
+                            str(path), "--trials", "5"])
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: cannot load channel %r: malformed channel "
+                       "data: env_dim must be an integer, not %r\n"
+                       % (str(path), env_dim))
 
 
 def test_table_texts_name_the_patterns():
     table = build_syndrome_table(load_code("shor9"), 1)
-    assert table.texts == tuple(p.text() for p in table.patterns)
+    patterns = [ErrorPattern.from_key(key, 9) for key in table.keys]
+    assert table.texts == tuple("A%rP%r" % (p.alpha, p.beta)
+                                for p in patterns)
     assert table.labels == tuple("H[%s]" % text for text in table.texts)
 
 

@@ -1,7 +1,8 @@
 """Property tests of the pattern images A_a P_b |C^k>.
 
-pattern_images builds every image of a pattern list at once; apply_pattern,
-which applies one pattern to one state, is its reference. The images also
+pattern_images builds every image of a list of canonical pattern keys at
+once; apply_pattern, which applies one pattern to one state, is its
+reference. The images also
 carry the decomposition of a dissipated block: sending qubits S of an
 encoded state through channels gives exactly the sum, over the patterns
 supported inside S, of each pattern's image tensored with the channels'
@@ -18,11 +19,16 @@ from qeclab import (BUILTIN_CODES, BitString, ConditionError, ErrorPattern,
                     FactorLayout, PureState, QuantumCode, apply_channel,
                     apply_pattern, build_syndrome_table, encode, load_code,
                     random_channel, recover, residue_oracle)
-from qeclab.codes import condition_patterns, pattern_images
+from qeclab.codes import _CHOICES, condition_patterns, pattern_images
+from qeclab.errors import pattern_keys, pattern_texts
 
 # derandomized, so that every run of the suite checks the same examples
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def keys_of(patterns):
+    return [p.sort_key() for p in patterns]
 
 
 def reference_images(code, patterns):
@@ -50,7 +56,7 @@ CATALOGUE_CASES = [(name, condition, t)
 def test_catalogue_images_equal_the_reference_bit_for_bit(name, condition, t):
     code = load_code(name)
     patterns = condition_patterns(code.n, t, condition)
-    images = pattern_images(code, patterns)
+    images = pattern_images(code, keys_of(patterns))
     assert same_bytes(images, reference_images(code, patterns))
     # a table over the same patterns holds these images as its rows
     try:
@@ -58,6 +64,28 @@ def test_catalogue_images_equal_the_reference_bit_for_bit(name, condition, t):
     except ConditionError:
         return
     assert same_bytes(table.rows, images)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.data())
+def test_pattern_texts_spell_each_keys_two_bitstrings(data):
+    # for every n from 0 to 9, condition and t: up to 40 of the keys the
+    # condition ranges over at t, the first and last among them; bit i of a
+    # key is alpha's position i, bit n + i beta's
+    for n in range(10):
+        for condition, choices in sorted(_CHOICES.items()):
+            for t in range(n + 1):
+                keys = pattern_keys(n, t, choices)
+                picks = data.draw(st.lists(
+                    st.integers(0, len(keys) - 1), max_size=38))
+                keys = keys[sorted({0, len(keys) - 1, *picks})]
+                want = ["A%rP%r" % (
+                    BitString((key >> i) & 1 for i in range(n)),
+                    BitString((key >> (n + i)) & 1 for i in range(n)))
+                    for key in keys.tolist()]
+                assert pattern_texts(keys, n) == want
+                assert [ErrorPattern.from_key(key, n).text()
+                        for key in keys] == want
 
 
 @st.composite
@@ -93,7 +121,7 @@ def codes_and_patterns(draw):
 @given(codes_and_patterns())
 def test_images_of_any_pattern_list_equal_the_reference(case):
     code, patterns = case
-    assert same_bytes(pattern_images(code, patterns),
+    assert same_bytes(pattern_images(code, keys_of(patterns)),
                       reference_images(code, patterns))
 
 
@@ -129,7 +157,7 @@ def test_dissipated_block_is_the_sum_of_images_times_residues(case):
                 alpha[q] = (a_mask >> j) & 1
                 beta[q] = (b_mask >> j) & 1
             patterns.append(ErrorPattern(BitString(alpha), BitString(beta)))
-    images = pattern_images(code, patterns).reshape(
+    images = pattern_images(code, keys_of(patterns)).reshape(
         len(patterns), 1 << code.l, 1 << n)
     acc = np.zeros(joint.amps.shape, dtype=np.complex128)
     for pat, image in zip(patterns, logical @ images):
