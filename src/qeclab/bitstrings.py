@@ -55,13 +55,6 @@ class BitString:
             raise ValueError("index %d out of range for %d bits" % (index, n))
         return cls((index >> (n - 1 - i)) & 1 for i in range(n))
 
-    @classmethod
-    def unit(cls, position, n):
-        """The tuple with a single 1 at `position`."""
-        if not 0 <= position < n:
-            raise ValueError("position out of range")
-        return cls(1 if i == position else 0 for i in range(n))
-
     # -- basic protocol --------------------------------------------------
 
     def __len__(self):
@@ -99,9 +92,6 @@ class BitString:
         self._check_len(other)
         return sum(a & b for a, b in zip(self.bits, other.bits)) & 1
 
-    def weight(self):
-        return sum(self.bits)
-
     def support(self):
         """0-based positions of the ones."""
         return {i for i, b in enumerate(self.bits) if b}
@@ -115,9 +105,3 @@ class BitString:
         for b in self.bits:
             idx = (idx << 1) | b
         return idx
-
-
-def union_weight(alpha, beta):
-    """Number of positions where alpha or beta (or both) is nonzero."""
-    alpha._check_len(beta)
-    return len(alpha.support() | beta.support())

@@ -125,16 +125,6 @@ def min_n_gv(l, t):
             return n
 
 
-def gv_inequality_holds(n, l, t):
-    """The covering inequality in its literal form:
-    2^l * sphere_volume(n, min(2t, n)) >= 2^n (weights above n cannot
-    occur, so the sum truncates there)."""
-    _check_nonneg(n=n, l=l, t=t)
-    if l > n:
-        raise ValueError("need l <= n")
-    return (1 << l) * sphere_volume(n, min(2 * t, n)) >= (1 << n)
-
-
 # -- asymptotic rate forms -------------------------------------------------------
 
 def entropy(x):

@@ -38,7 +38,6 @@ import math
 
 import numpy as np
 
-from .bitstrings import BitString
 from .codes import json_int
 from .statespace import TOL_NORM, FactorLayout, PureState
 
@@ -201,17 +200,14 @@ def residue_oracle(channels, alpha, beta):
     """Environment residue |R_ab> for channels applied on an ordered set.
 
     `channels` is the ordered list of (qubit, QubitChannel) pairs, in
-    application order; the supports of alpha and beta must lie inside the
-    affected-qubit set. Returns an environment-only PureState (one factor
-    per channel, in list order), generally unnormalized:
+    application order; the supports of the BitStrings alpha and beta must
+    lie inside the affected-qubit set. Returns an environment-only
+    PureState (one factor per channel, in list order), generally
+    unnormalized:
 
         2^-m  sum_g  (-1)^(g.b)  (x)_j  a^(j)_{g_j, (g+a)_j}
     """
     channels = list(channels)
-    if not isinstance(alpha, BitString):
-        alpha = BitString.from_text(alpha)
-    if not isinstance(beta, BitString):
-        beta = BitString.from_text(beta)
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta have different lengths")
     affected = [q for q, _ in channels]
@@ -243,13 +239,6 @@ def residue_oracle(channels, alpha, beta):
 
 # -- files ---------------------------------------------------------------------
 
-def channel_to_dict(ch):
-    def pairs(v):
-        return [[float(x.real), float(x.imag)] for x in v]
-    return {"env_dim": ch.env_dim, "a00": pairs(ch.a00), "a01": pairs(ch.a01),
-            "a10": pairs(ch.a10), "a11": pairs(ch.a11)}
-
-
 def channel_from_dict(data):
     try:
         d = json_int(data, "env_dim")
@@ -262,11 +251,6 @@ def channel_from_dict(data):
         raise ValueError("env_dim %d does not match vector length %d"
                          % (d, ch.env_dim))
     return ch
-
-
-def save_channel(ch, path):
-    with open(path, "w") as fh:
-        json.dump(channel_to_dict(ch), fh, indent=1)
 
 
 def load_channel(path):

@@ -67,8 +67,8 @@ def _open_output(path):
 
 
 def _write(fh, text):
-    """Write text to fh, a file from _open_output, and flush it; BadInput
-    naming the file when that fails."""
+    """Write text to fh, a file from _open_output or sys.stdout, and flush
+    it; BadInput naming the file when that fails."""
     try:
         fh.write(text)
         fh.flush()
@@ -85,7 +85,7 @@ def _emit(text, out_path):
         with _open_output(out_path) as fh:
             _write(fh, text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
 
 
 def _json_text(obj):
@@ -262,14 +262,9 @@ def cmd_simulate(args):
         else:
             body = records_to_csv(records)
         summary_text = _json_text(summary)
-        if out:
-            _write(out, body)
-        else:
-            sys.stdout.write(body)
-        if summary_out:
-            _write(summary_out, summary_text)
-        elif out:
-            sys.stdout.write(summary_text)
+        _write(out or sys.stdout, body)
+        if summary_out or out:
+            _write(summary_out or sys.stdout, summary_text)
         else:
             sys.stderr.write(summary_text)
     return 0

@@ -440,20 +440,6 @@ def encode(code, logical):
 
 # -- code files and catalogue -------------------------------------------------
 
-def code_to_dict(code):
-    vectors = []
-    for v in code.vectors:
-        entries = []
-        flat = v.amps.ravel()
-        for idx in np.nonzero(np.abs(flat) > 0)[0]:
-            a = complex(flat[idx])
-            entries.append({"basis": repr(BitString.from_index(int(idx), code.n)),
-                            "re": a.real, "im": a.imag})
-        vectors.append(entries)
-    return {"name": code.name, "n": code.n, "l": code.l,
-            "t": code.claimed_t, "vectors": vectors}
-
-
 def json_int(data, field):
     """data[field] if it is a JSON integer (not a bool), else TypeError."""
     value = data[field]
@@ -494,11 +480,6 @@ def code_from_dict(data):
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed code file: %s" % exc)
     return QuantumCode(name, n, l, t, vectors)
-
-
-def save_code(code, path):
-    with open(path, "w") as fh:
-        json.dump(code_to_dict(code), fh, indent=1)
 
 
 def _load_builtin(name):

@@ -144,17 +144,6 @@ def _coordinates(state, table):
     return M, coeff[0], p[0], float(p_none[0])
 
 
-def _collapse(state, table, M, coeff, p, i):
-    """The renormalized state after subspace i answered (None: after every
-    subspace was ruled out, leaving the complement)."""
-    if i is None:
-        vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
-    else:
-        a, b = i << table.code.l, (i + 1) << table.code.l
-        vec = table.rows[a:b].T @ coeff[a:b] / math.sqrt(p[i])
-    return PureState._trusted(state.layout, vec.reshape(state.layout.shape))
-
-
 def _complement(table, M, coeff):
     """The renormalized parts of a stack of matrices M (g, 2^n, d_E) outside
     every table subspace, coeff (g, rows, d_E) being their syndrome
@@ -318,12 +307,29 @@ def sample_walk(table, p, p_none, randomness, dyadic):
     return None if i == len(p) else i, trace, int(forced[0])
 
 
-def _measure(state, table, randomness, dyadic):
+def _walk_state(state, table, randomness, dyadic):
+    """One state's walk: (M, coeff, p) as _coordinates gives them, then the
+    answering subspace i and its pattern (None: the complement) and trace."""
     M, coeff, p, p_none = _coordinates(state, table)
     i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
     syndrome = (None if i is None
                 else ErrorPattern.from_key(table.keys[i], table.code.n))
-    return _collapse(state, table, M, coeff, p, i), syndrome, trace
+    return M, coeff, p, i, syndrome, trace
+
+
+def _measure(state, table, randomness, dyadic):
+    """A walk and the renormalized state it leaves in the subspace that
+    answered, or in the complement: (collapsed_state, syndrome, trace)."""
+    M, coeff, p, i, syndrome, trace = _walk_state(state, table, randomness,
+                                                  dyadic)
+    if i is None:
+        vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
+    else:
+        a, b = i << table.code.l, (i + 1) << table.code.l
+        vec = table.rows[a:b].T @ coeff[a:b] / math.sqrt(p[i])
+    collapsed = PureState._trusted(state.layout,
+                                   vec.reshape(state.layout.shape))
+    return collapsed, syndrome, trace
 
 
 def measure_exhaustive(state, table, randomness):
@@ -418,9 +424,18 @@ class DecodeReport:
                                    self.disentangled, self.corrected))
 
 
+def _fidelity_and_top_schmidt(bras, states):
+    """(fidelity, max Schmidt coefficient) of each state of a stack
+    (g, rows, d_E) against its own reference bra, bras being (g, 1, rows)."""
+    w = np.matmul(bras, states)
+    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
+    max_schmidt = np.linalg.svd(states, compute_uv=False)[:, 0]
+    return fidelity, max_schmidt
+
+
 def verify_blocks(table, blocks, p, references):
-    """Verify a stack of identified outcomes: (fidelity, max Schmidt
-    coefficient), one entry per outcome.
+    """Verify a stack of identified outcomes: (renormalized blocks,
+    fidelity, max Schmidt coefficient), one entry per outcome.
 
     blocks (g, 2^l, d_E) holds each outcome's coordinate block coeff_i in
     the subspace i that answered, p (g,) its probability p_i and references
@@ -434,10 +449,7 @@ def verify_blocks(table, blocks, p, references):
     blocks = blocks / np.sqrt(p)[:, np.newaxis, np.newaxis]
     ref_coords = np.matmul(references.conj()[:, np.newaxis, :],
                            table.code.matrix().T)
-    w = np.matmul(ref_coords, blocks)
-    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
-    max_schmidt = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-    return blocks, fidelity, max_schmidt
+    return (blocks,) + _fidelity_and_top_schmidt(ref_coords, blocks)
 
 
 def verify_complement(table, M, coeff, references):
@@ -451,10 +463,8 @@ def verify_complement(table, M, coeff, references):
     fixed-shape products of its own arrays.
     """
     rest = _complement(table, M, coeff)
-    w = np.matmul(references.conj()[:, np.newaxis, :], rest)
-    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
-    max_schmidt = np.linalg.svd(rest, compute_uv=False)[:, 0]
-    return rest, fidelity, max_schmidt
+    return (rest,) + _fidelity_and_top_schmidt(
+        references.conj()[:, np.newaxis, :], rest)
 
 
 def correct(state, code, t, strategy, randomness, reference,
@@ -484,8 +494,8 @@ def correct(state, code, t, strategy, randomness, reference,
     if reference.qubit_count != state.qubit_count:
         raise ValueError("qubit count mismatch: %d vs %d"
                          % (reference.qubit_count, state.qubit_count))
-    M, coeff, p, p_none = _coordinates(state, table)
-    i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
+    M, coeff, p, i, syndrome, trace = _walk_state(state, table, randomness,
+                                                  dyadic)
     ref = reference.amps.reshape(1, -1)
     if i is None:
         recovered, fidelity, max_schmidt = verify_complement(
@@ -498,8 +508,7 @@ def correct(state, code, t, strategy, randomness, reference,
         recovered = table.code.matrix().T @ blocks[0]
     fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
     return DecodeReport(
-        syndrome=(None if i is None
-                  else ErrorPattern.from_key(table.keys[i], table.code.n)),
+        syndrome=syndrome,
         outcome_trace=trace,
         recovered_state=PureState._trusted(
             state.layout, recovered.reshape(state.layout.shape)),

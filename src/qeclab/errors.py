@@ -22,20 +22,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstrings import BitString, union_weight
+from .bitstrings import BitString
 from .statespace import PureState
 
 
 class ErrorPattern:
-    """A named operator A_alpha P_beta; also the decoder's syndrome value."""
+    """A named operator A_alpha P_beta, alpha and beta BitStrings of one
+    length; also the decoder's syndrome value."""
 
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
-        if not isinstance(alpha, BitString):
-            alpha = BitString.from_text(alpha)
-        if not isinstance(beta, BitString):
-            beta = BitString.from_text(beta)
         if len(alpha) != len(beta):
             raise ValueError("alpha and beta lengths differ")
         object.__setattr__(self, "alpha", alpha)
@@ -43,10 +40,6 @@ class ErrorPattern:
 
     def __setattr__(self, name, value):
         raise AttributeError("ErrorPattern is immutable")
-
-    @classmethod
-    def zero(cls, n):
-        return cls(BitString.zeros(n), BitString.zeros(n))
 
     @classmethod
     def from_key(cls, key, n):
@@ -76,9 +69,6 @@ class ErrorPattern:
 
     def __hash__(self):
         return hash((self.alpha, self.beta))
-
-    def union_weight(self):
-        return union_weight(self.alpha, self.beta)
 
     def is_zero(self):
         return self.alpha.is_zero() and self.beta.is_zero()

@@ -204,28 +204,6 @@ class PureState:
 
 # -- operations --------------------------------------------------------------
 
-def inner(a, b):
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.layout != b.layout:
-        raise ValueError("inner product requires identical layouts")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def tensor(a, b):
-    """Tensor product with concatenated layout (a's factors first)."""
-    na, nb = a.qubit_count, b.qubit_count
-    env = tuple(a.layout.env_factors) + tuple(
-        (q + na, d) for q, d in b.layout.env_factors)
-    layout = FactorLayout(na + nb, env)
-    ka = len(a.layout.env_dims)
-    out = np.multiply.outer(a.amps, b.amps)
-    # axes: (2^na, dA..., 2^nb, dB...) -> (2^na, 2^nb, dA..., dB...)
-    out = np.moveaxis(out, 1 + ka, 1)
-    out = out.reshape(layout.shape)
-    normalized = a.is_normalized and b.is_normalized
-    return PureState(layout, out, normalized=normalized)
-
-
 def schmidt_diagnostics(state):
     """(max Schmidt coefficient, purity) across the system|environment cut.
 
@@ -236,10 +214,6 @@ def schmidt_diagnostics(state):
     """
     sv = np.linalg.svd(state.matrix(), compute_uv=False)
     return float(sv[0]), float(np.sum(sv ** 4))
-
-
-def is_disentangled(state):
-    return schmidt_diagnostics(state)[0] >= 1.0 - TOL_NORM
 
 
 def fidelity_against(joint, reference_system_state):

@@ -177,7 +177,8 @@ def test_criterion_08_strategies_agree_exactly(acceptance):
         table = build_syndrome_table(code, 1, "phase-only")
         ref = encode(code, random_logical(rng))
         states = [apply_channel(ref, q, make_decoherence(0.3)) for q in range(3)]
-        states += [apply_phase(BitString.unit(q, 3), ref) for q in range(3)]
+        states += [apply_phase(BitString.from_text(beta), ref)
+                   for beta in ("(100)", "(010)", "(001)")]
 
         code9 = load_code("shor9")
         table9 = build_syndrome_table(code9, 1)

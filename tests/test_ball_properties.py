@@ -9,6 +9,7 @@ deviation and every value within 1e-12. product_pairs, which weighs each
 product pattern in the count, is checked against counting pattern pairs.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from qeclab import BUILTIN_CODES, PureState, QuantumCode, load_code
 from qeclab.bounds import sphere_volume
-from qeclab.codes import (CHECK_TOL, _VIOLATION_CAP, _gram_check,
-                          condition_patterns, pattern_images, product_pairs)
+from qeclab.codes import (CHECK_TOL, _VIOLATION_CAP, ConditionReport,
+                          _gram_check, condition_patterns, pattern_images,
+                          product_pairs, run_checker)
 
 # derandomized, so that every run of the suite checks the same examples
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -130,6 +132,20 @@ def test_catalogue_checks_past_the_hamming_bound_match_the_oracle():
             for t in range(min(code.n, 2) + 1):
                 if image_rows(code.n, code.l, t, condition) > 1 << code.n:
                     assert_matches_oracle(code, condition, t)
+
+
+def test_a_report_from_the_ball_holds_the_zeros_its_gram_matrix_does():
+    # phase3 times i: the ball's sign flips turn zero imaginary parts into
+    # -0.0, where the Gram product of the images gives +0.0, and a report's
+    # JSON text shows the sign
+    phase3 = load_code("phase3")
+    code = QuantumCode("phase3i", 3, 1, 1, [
+        PureState.from_amplitudes(3, 1j * v.amps) for v in phase3.vectors])
+    assert image_rows(3, 1, 1, "general") > 1 << 3
+    report = run_checker(code, "general", 1)
+    oracle = ConditionReport("general", 1, *gram_oracle(code, "general", 1))
+    assert report.violations
+    assert json.dumps(report.to_dict()) == json.dumps(oracle.to_dict())
 
 
 def test_product_pairs_count_the_pattern_pairs_of_each_product():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qeclab import BitString, union_weight
+from qeclab import BitString
 
 
 def test_from_text_round_trip():
@@ -56,32 +56,15 @@ def test_dot_mod2():
     assert BitString.zeros(6).dot(v) == 0
 
 
-def test_weight_and_support():
-    b = BitString.from_text("(01101)")
-    assert b.weight() == 3
-    assert b.support() == {1, 2, 4}
-    assert BitString.zeros(4).weight() == 0
-    assert BitString.ones(4).weight() == 4
+def test_support():
+    assert BitString.from_text("(01101)").support() == {1, 2, 4}
+    assert BitString.zeros(4).support() == set()
+    assert BitString.ones(4).support() == {0, 1, 2, 3}
 
 
 def test_is_zero():
     assert BitString.zeros(5).is_zero()
-    assert not BitString.unit(2, 5).is_zero()
-
-
-def test_unit():
-    assert BitString.unit(0, 4) == BitString.from_text("(1000)")
-    assert BitString.unit(3, 4) == BitString.from_text("(0001)")
-    with pytest.raises(ValueError):
-        BitString.unit(4, 4)
-
-
-def test_union_weight_counts_jointly_touched_positions():
-    a = BitString.from_text("(1100)")
-    b = BitString.from_text("(0110)")
-    assert union_weight(a, b) == 3
-    assert union_weight(a, a) == 2
-    assert union_weight(BitString.zeros(4), BitString.zeros(4)) == 0
+    assert not BitString.from_text("(00100)").is_zero()
 
 
 def test_index_round_trip_is_big_endian():

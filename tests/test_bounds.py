@@ -9,7 +9,6 @@ from qeclab import (
     entropy,
     finite_hamming_rate,
     gv_guaranteed_codewords,
-    gv_inequality_holds,
     hamming_holds,
     hamming_rate_root,
     min_n_gv,
@@ -82,15 +81,6 @@ def test_gv_guaranteed_codewords_degenerate_radius():
     # when 2t exceeds n a single sphere swallows the space
     assert gv_guaranteed_codewords(3, 2) == 1
     assert gv_guaranteed_codewords(1, 1) == 1
-
-
-def test_gv_inequality_is_the_literal_covering_form():
-    # 2^l * V(n, 2t) >= 2^n: the saturation property of maximal codes. It
-    # holds at small n and eventually fails as 2^n outgrows the sphere.
-    assert gv_inequality_holds(9, 1, 1)   # 2 * 352 >= 512
-    assert gv_inequality_holds(8, 1, 1)   # 2 * 277 >= 256
-    assert not gv_inequality_holds(20, 1, 1)
-    assert gv_inequality_holds(1, 1, 1)   # radius clamps at n
 
 
 def test_min_n_gv_known_values():

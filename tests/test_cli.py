@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import qeclab
-from qeclab import cli, code_to_dict, experiment, load_code, save_code
+from qeclab import cli, experiment
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
-from repetition import repetition_code
+from input_files import repetition_code_data, shipped_code_data
 
 
 def run(argv):
@@ -87,7 +87,7 @@ def test_simulate_past_the_hamming_bound_exits_one_through_its_report():
 
 def test_a_check_over_the_cap_exits_two(tmp_path):
     path = tmp_path / "rep16.json"
-    save_code(repetition_code(16), path)
+    path.write_text(json.dumps(repetition_code_data(16)))
     # a Gram matrix, then a 2t-ball, over the cap, from either command
     for t in ("3", "4"):
         for argv in (["verify"], ["simulate", "--p", "0.1", "--max-active",
@@ -106,7 +106,7 @@ def test_an_amplitude_check_far_past_the_bound_runs_in_little_memory(
     # 2 V_t image rows, V_t = 9908 or 39203 at t = n / 2, against 2^n
     # amplitudes, and 2 x 2 overlaps for each of the 2^n amplitude parts
     path = tmp_path / "rep.json"
-    save_code(repetition_code(n), path)
+    path.write_text(json.dumps(repetition_code_data(n)))
     tracemalloc.start()
     try:
         rc, out, err = run(["verify", "--code", str(path), "--condition",
@@ -510,7 +510,7 @@ def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
 def test_a_code_file_integer_field_must_be_a_json_integer(
         tmp_path, command, field, value):
     # int() would truncate 3.7 and 1.9 and read true as 1
-    data = code_to_dict(load_code("phase3"))
+    data = shipped_code_data("phase3")
     data[field] = value
     path = tmp_path / "code.json"
     path.write_text(json.dumps(data))
@@ -524,7 +524,7 @@ def test_a_code_file_integer_field_must_be_a_json_integer(
 def test_a_code_file_with_a_huge_n_exits_two(tmp_path):
     # in a child process under a 2 GB address-space limit, so that shifting
     # 1 by n before the check fails the test instead of the machine
-    data = code_to_dict(load_code("phase3"))
+    data = shipped_code_data("phase3")
     data["n"] = 10 ** 12
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
@@ -783,6 +783,32 @@ def test_a_write_that_fails_exits_two(argv, option):
     rc, out, err = run(argv + [option, "/dev/full"])
     assert rc == 2
     assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full, whose writes fail with ENOSPC")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "phase3"],
+    ["bounds", "--l", "1", "--t", "1"],
+    ["demo3"],
+    ["catalogue"],
+    _SIMULATE,
+    # the summary goes to stdout when the records go to --out
+    _SIMULATE + ["--out", os.devnull],
+], ids=["verify", "bounds", "demo3", "catalogue", "simulate",
+        "simulate-summary"])
+def test_a_write_to_stdout_that_fails_exits_two(argv):
+    # in a child process, so that the interpreter's own flush of stdout at
+    # exit would show too
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qeclab"] + argv,
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write <stdout>: No space left on "
+                           "device\n")
 
 
 def test_simulate_refuses_one_file_for_records_and_summary(tmp_path):

@@ -11,7 +11,6 @@ from qeclab import (
     apply_pattern,
     build_syndrome_table,
     code_from_dict,
-    code_to_dict,
     condition_patterns,
     correct,
     encode,
@@ -28,6 +27,7 @@ from qeclab import (
 from qeclab import decoder
 from qeclab.decoder import sample_walk
 
+from input_files import shipped_code_data
 from walk_trees import check_strategies
 
 
@@ -334,7 +334,7 @@ def test_correct_checks_the_table_against_the_code_itself():
     table = build_syndrome_table(code, 1, "phase-only")
     st = decohered(ref, (0,))
     # an equal code rebuilt from its description may share the table ...
-    twin = code_from_dict(code_to_dict(code))
+    twin = code_from_dict(shipped_code_data("phase3"))
     assert twin is not code
     rep = correct(st, twin, 1, "exhaustive", trial_generator(0, 0), ref,
                   pattern_filter="phase-only", table=table)

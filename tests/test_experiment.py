@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from qeclab import ErrorPattern, experiment
-from qeclab.channels import (QubitChannel, channel_to_dict, make_decoherence,
-                             save_channel)
 from qeclab.cli import main
 from qeclab.codes import load_code
 from qeclab.decoder import build_syndrome_table
@@ -19,6 +17,8 @@ from qeclab.experiment import (BLOCK_AMPLITUDES, WILSON_Z95,
                                records_to_csv, run_experiment,
                                wilson_interval)
 from qeclab.rng import trial_generator
+
+from input_files import decoherence_data
 
 SHOR9 = dict(code="shor9", channel="random:2", max_active=2, p=0.2, seed=7)
 
@@ -188,15 +188,15 @@ def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):
 
 def test_an_invalid_channel_file_exits_two(tmp_path):
     path = tmp_path / "broken.json"
-    save_channel(QubitChannel(a00=[0.5, 0], a01=[0, 0], a10=[0, 0],
-                              a11=[0, 1]), str(path))
+    path.write_text(json.dumps(dict(decoherence_data(),
+                                    a00=[[0.5, 0.0], [0.0, 0.0]])))
     rc, out, err = run(["simulate", "--code", "phase3", "--filter",
                         "phase-only", "--p", "0.5", "--channel", str(path),
                         "--trials", "5"])
     assert rc == 2
     assert "invalid channel" in err
     # a NaN entry compares false against every tolerance, and is refused too
-    data = channel_to_dict(make_decoherence(0.0))
+    data = decoherence_data()
     data["a00"][0][0] = float("nan")
     path.write_text(json.dumps(data))
     rc, out, err = run(["simulate", "--code", "phase3", "--filter",
@@ -206,7 +206,7 @@ def test_an_invalid_channel_file_exits_two(tmp_path):
     assert "invalid channel" in err
     # an env_dim that is not a JSON integer, though it rounds to the
     # vectors' length
-    data = channel_to_dict(make_decoherence(0.0))
+    data = decoherence_data()
     for env_dim in (2.5, 2.0):
         data["env_dim"] = env_dim
         path.write_text(json.dumps(data))

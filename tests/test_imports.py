@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name the package exports is used by the package, a demo or the
+benchmark, not by the tests alone.
 
 The package's __init__.py imports names only to re-export them, so it is
-left out; so are __future__ imports, which change how a module compiles.
+left out of the first check; so are __future__ imports, which change how a
+module compiles.
 """
 
 import ast
@@ -35,3 +38,37 @@ def test_a_module_uses_every_name_it_imports(path):
               for name, line in imported_names(tree) if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (
         path.name, ", ".join(unused))
+
+
+def exported_names():
+    tree = ast.parse(pathlib.Path(qeclab.__file__).read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def names_used_outside_tests():
+    """Every name a module of the package other than __init__.py, a demo or
+    the benchmark loads, as a name or an attribute, and every string
+    constant there, which counts the names the benchmark probes by string."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = (MODULES + sorted(root.glob("demos/*.py"))
+             + sorted(root.glob("bench/*.py")))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                used.add(node.value)
+    return used
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    used = names_used_outside_tests()
+    unused = [name for name in exported_names() if name not in used]
+    assert not unused, ("qeclab exports names that only tests use: %s"
+                        % ", ".join(unused))
