@@ -315,8 +315,16 @@ def _subcommand(sub, name, shared, **kwargs):
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes out through _write: argparse's own
+    printing drops a failed write silently."""
+
+    def print_help(self, file=None):
+        _write(file or sys.stdout, self.format_help())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qeclab",
         description="quantum error-correction workbench: encoded blocks, "
                     "entangling channels, projective syndrome decoding, and "
@@ -388,9 +396,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BadInput as exc:
         sys.stderr.write("error: %s\n" % exc)

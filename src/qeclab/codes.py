@@ -55,7 +55,8 @@ import numpy as np
 
 from .bitstrings import BitString
 from .bounds import sphere_volume
-from .errors import PAULI_CHOICES, ErrorPattern, key_indices, pattern_keys
+from .errors import (PAULI_CHOICES, ErrorPattern, key_indices, parity_signs,
+                     pattern_keys)
 from .statespace import DIM_CAP, TOL_NORM, FactorLayout, PureState
 
 CHECK_TOL = 1e-9
@@ -228,9 +229,8 @@ def pattern_images(code, keys):
     C = code.matrix()
     rows = C[np.arange(len(C))[:, np.newaxis], idx[:, np.newaxis, :]]
     signed = b != 0
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx[signed]
-                                          & b[signed, np.newaxis]) & 1)
-    rows[signed] *= signs[:, np.newaxis, :]
+    rows[signed] *= parity_signs(idx[signed],
+                                 b[signed, np.newaxis])[:, np.newaxis, :]
     return rows.reshape(-1, C.shape[1])
 
 
@@ -262,7 +262,7 @@ def product_pairs(n, t, condition):
 def _sylvester(N):
     """The N x N Walsh-Hadamard matrix H[d, u] = (-1)^(d.u), N = 2^m."""
     u = np.arange(N)
-    return 1.0 - 2.0 * (np.bitwise_count(u[:, np.newaxis] & u) & 1)
+    return parity_signs(u[:, np.newaxis], u)
 
 
 def _walsh_hadamard(F):

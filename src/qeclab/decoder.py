@@ -27,10 +27,12 @@ Two measurement strategies are provided, with identical outcome statistics:
   success path. Once the walk has established that the state lies inside a
   block, narrowing to a single subspace needs no further measurement.
 
-Each binary measurement consumes one uniform deviate and fires with the
-mass of its union divided by the mass not yet ruled out. If every outcome
-is 0 the state collapses to the orthogonal complement of all table
-subspaces and no correction is attempted.
+A walk reads its uniform deviates from an array holding one per
+subspace: the k-th binary measurement takes the k-th deviate and fires with
+the mass of its union divided by the mass not yet ruled out, and deviates
+past the walk's last measurement go unread. If every outcome is 0 the state
+collapses to the orthogonal complement of all table subspaces and no
+correction is attempted.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ErrorPattern, apply_amplitude, apply_phase, pattern_texts
 from .codes import ConditionError, _gram_check
-from .statespace import TOL_NORM, TOL_ZERO, PureState
+from .statespace import TOL_NORM, TOL_ZERO, PureState, row_norms
 
 #: pattern filter -> the correctability condition over the same patterns
 _FILTER_CONDITIONS = {"all": "general", "phase-only": "phase",
@@ -57,15 +59,19 @@ class SyndromeTable:
     label H[...]. rows, the checker's images made read-only, stacks the
     subspaces' bases {A_a P_b |C^k>}, 2^l rows each, orthonormal across the
     whole table; conj_rows @ M gives a state's coordinates in every
-    subspace at once. Immutable and shareable across decode runs.
+    subspace at once. halves[s] is the size of the union a dyadic walk
+    measures in a block of s subspaces: the largest power of two below s
+    (1 for s <= 2). Immutable and shareable across decode runs.
     """
 
     __slots__ = ("code", "t", "pattern_filter", "keys", "texts", "labels",
-                 "is_complete", "rows", "conj_rows")
+                 "is_complete", "rows", "conj_rows", "halves")
 
     def __init__(self, code, t, pattern_filter, keys, rows):
         conj_rows = np.ascontiguousarray(rows.conj())
-        for array in (keys, rows, conj_rows):
+        halves = 1 << (np.frexp(np.maximum(np.arange(len(keys) + 1) - 1,
+                                           1))[1] - 1)
+        for array in (keys, rows, conj_rows, halves):
             array.setflags(write=False)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "t", int(t))
@@ -80,6 +86,7 @@ class SyndromeTable:
         object.__setattr__(self, "is_complete", len(rows) == (1 << code.n))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "conj_rows", conj_rows)
+        object.__setattr__(self, "halves", halves)
 
     def __setattr__(self, name, value):
         raise AttributeError("SyndromeTable is immutable")
@@ -147,31 +154,12 @@ def _coordinates(state, table):
 def _complement(table, M, coeff):
     """The renormalized parts of a stack of matrices M (g, 2^n, d_E) outside
     every table subspace, coeff (g, rows, d_E) being their syndrome
-    coordinates. Each part is divided by its norm, taken row by row as the
-    sum np.linalg.norm takes, so that a stack gives each state's one-state
-    result bit for bit."""
+    coordinates. Each part is divided by its row_norms norm, so that a
+    stack gives each state's one-state result bit for bit."""
     rest = M - np.matmul(table.rows.T, coeff)
-    flat = rest.reshape(len(rest), -1)
-    rest /= np.sqrt(np.vecdot(flat.real, flat.real)
-                    + np.vecdot(flat.imag, flat.imag))[:, np.newaxis,
-                                                        np.newaxis]
+    rest /= row_norms(rest.reshape(len(rest), -1))[:, np.newaxis,
+                                                   np.newaxis]
     return rest
-
-
-def sample_walks(table, P, p_none, U, dyadic):
-    """Sample the measurement walks of a stack of states at once.
-
-    P (g, N) holds each state's syndrome probabilities, p_none (g,) its
-    complement's mass and U (g, N) its uniform deviates, the k-th
-    measurement of walk j taking U[j, k]. Returns integer arrays (index,
-    measurements, forced): the subspace that answered (N: the complement),
-    the number of binary measurements, and the number of outcomes the zero
-    threshold forced against the deviate. Walk j is sample_walk's walk on
-    row j, bit for bit.
-    """
-    return _walks(table, P, p_none,
-                  lambda step, width, rows: U[rows, step:step + width],
-                  dyadic, lookahead=True)
 
 
 def _measure_unions(u, mass_in, mass_out):
@@ -188,23 +176,24 @@ def _measure_unions(u, mass_in, mass_out):
     return outcome, outcome != drawn
 
 
-def _walks(table, P, p_none, uniforms, dyadic, lookahead=False,
-           steps=None):
-    """The measurement walks of P's rows, advanced together round by round:
-    uniforms(step, width, rows) gives, for the given walks, the deviates of
-    their measurements step to step + width - 1 as a (rows, width) array.
-    A dyadic walk, or an exhaustive one without lookahead, makes one
-    measurement per round. steps, when a list, receives each round's
-    (lo, mid) of the first walk still going and the outcomes of all of
-    them, from which the one-walk case reads its trace.
+def sample_walks(table, P, p_none, U, dyadic):
+    """Sample the measurement walks of a stack of states at once.
+
+    P (g, N) holds each state's syndrome probabilities, p_none (g,) its
+    complement's mass and U (g, N) its uniform deviates, one per subspace:
+    the k-th measurement of walk j takes U[j, k], and a walk that ends
+    before its N-th measurement leaves the rest unread. Returns integer
+    arrays (index, measurements, forced): the subspace that answered (N:
+    the complement), the number of binary measurements, and the number of
+    outcomes the zero threshold forced against the deviate.
 
     Each step splits a walk's current block [lo, hi) at mid -- after its
-    first subspace, or for a dyadic walk after the largest power of two
-    below its size -- and measures the union [lo, mid). The mass not yet
-    ruled out is the block's, plus the complement's until an outcome 1
-    proves membership in the block. Both masses are left-to-right sums of
-    p, taken as masked cumulative sums, which add in order whatever the
-    interpreter's float sum() does.
+    first subspace, or for a dyadic walk after table.halves of its size --
+    and measures the union [lo, mid). The mass not yet ruled out is the
+    block's, plus the complement's until an outcome 1 proves membership in
+    the block. Both masses are left-to-right sums of p, taken as masked
+    cumulative sums, which add in order whatever the interpreter's float
+    sum() does.
     """
     g, n = P.shape
     index = np.full(g, n, dtype=np.intp)
@@ -218,10 +207,10 @@ def _walks(table, P, p_none, uniforms, dyadic, lookahead=False,
     with np.errstate(divide="ignore", invalid="ignore"):
         if not dyadic:
             # every walking block is [step, n + 1), so each step's masses
-            # are known before the walk gets there: with lookahead a round
-            # decides the next `width` steps at once, doubling width from
-            # round to round. Outcome 1 ends a walk; a walk that rules out
-            # all n subspaces ends in the complement after n measurements.
+            # are known before the walk gets there: a round decides the
+            # next `width` steps at once, doubling width from round to
+            # round. Outcome 1 ends a walk; a walk that rules out all n
+            # subspaces ends in the complement after n measurements.
             step, width = 0, 1
             while len(rows) and step < n:
                 width = min(width, n - step)
@@ -231,25 +220,20 @@ def _walks(table, P, p_none, uniforms, dyadic, lookahead=False,
                                 > np.arange(width)[:, np.newaxis],
                                 m[:, np.newaxis], 0.0)
                 outcome, overridden = _measure_unions(
-                    uniforms(step, width, rows), m[:, :width],
+                    U[rows, step:step + width], m[:, :width],
                     np.cumsum(tail, axis=2)[:, :, -1])
                 hit = outcome.any(axis=1)
                 taken = np.where(hit, outcome.argmax(axis=1) + 1, width)
                 forced[rows] += np.count_nonzero(
                     overridden & (np.arange(width) < taken[:, np.newaxis]),
                     axis=1)
-                if steps is not None:
-                    steps.append((step, step + 1, outcome[:, 0]))
                 index[rows[hit]] = step + taken[hit] - 1
                 measurements[rows[hit]] = step + taken[hit]
                 rows = rows[~hit]
                 step += width
-                if lookahead:
-                    width *= 2
+                width *= 2
             return index, measurements, forced
         cols = np.arange(n + 1)
-        # halves[s]: the size of the union measured in s subspaces
-        halves = 1 << (np.frexp(np.maximum(np.arange(n + 1) - 1, 1))[1] - 1)
         lo = np.zeros(g, dtype=np.intp)
         # a complete table's upfront guarantee of membership saves the
         # walk its last measurement
@@ -265,18 +249,16 @@ def _walks(table, P, p_none, uniforms, dyadic, lookahead=False,
                 rows, lo, hi = rows[going], lo[going], hi[going]
                 if not len(rows):
                     return index, measurements, forced
-            mid = lo + halves[np.minimum(hi, n) - lo]
+            mid = lo + table.halves[np.minimum(hi, n) - lo]
             m = mass[rows]
             at = np.arange(len(rows))
             outcome, overridden = _measure_unions(
-                uniforms(step, 1, rows)[:, 0],
+                U[rows, step],
                 np.cumsum(np.where(cols >= lo[:, np.newaxis], m, 0.0),
                           axis=1)[at, mid - 1],
                 np.cumsum(np.where(cols >= mid[:, np.newaxis], m, 0.0),
                           axis=1)[at, hi - 1])
             forced[rows] += overridden
-            if steps is not None:
-                steps.append((lo[0], mid[0], outcome))
             lo = np.where(outcome, lo, mid)
             hi = np.where(outcome, mid, hi)
             step += 1
@@ -288,23 +270,26 @@ def sample_walk(table, p, p_none, randomness, dyadic):
     for the complement, outcome trace, number of outcomes the zero
     threshold forced against the deviate).
 
-    The one-walk case of sample_walks, drawing one deviate per measurement
-    from randomness.random() as the measurement comes.
+    The one-walk case of sample_walks, on one randomness.random(len(p))
+    draw: one deviate per subspace, as every trial of the engine draws.
+    The trace replays the walk's block splits from the answering index:
+    the union below a split answers exactly when the index lies below it.
     """
-    steps = []
-    index, _, forced = _walks(
+    n = len(p)
+    index, _, forced = sample_walks(
         table, np.asarray(p, dtype=np.float64)[np.newaxis],
         np.array([p_none], dtype=np.float64),
-        lambda step, width, rows: np.array([[randomness.random()]]), dyadic,
-        steps=steps)
+        randomness.random(n)[np.newaxis], dyadic)
+    i = int(index[0])
     trace = []
-    for lo, mid, outcome in steps:
-        lo, mid = int(lo), int(mid)
+    lo, hi = 0, n if dyadic and table.is_complete else n + 1
+    while hi - lo > 1:
+        mid = lo + (int(table.halves[min(hi, n) - lo]) if dyadic else 1)
         label = table.labels[lo] if mid - lo == 1 else "U[%d..%d]" % (
             lo, mid - 1)
-        trace.append((label, int(outcome[0])))
-    i = int(index[0])
-    return None if i == len(p) else i, trace, int(forced[0])
+        trace.append((label, int(i < mid)))
+        lo, hi = (lo, mid) if i < mid else (mid, hi)
+    return None if i == n else i, trace, int(forced[0])
 
 
 def _walk_state(state, table, randomness, dyadic):
@@ -471,12 +456,12 @@ def correct(state, code, t, strategy, randomness, reference,
             pattern_filter="all", table=None):
     """Measure, recover, verify: the full decode pass.
 
-    strategy is "exhaustive" or "hierarchical"; randomness supplies one
-    uniform deviate per binary measurement; reference is the system-only
-    state the fidelity is measured against (normally the uncorrupted encoded
-    block). A prebuilt SyndromeTable for (code, t, pattern_filter) can be
-    passed to skip rebuilding in tight loops; a table built for another
-    code, t or pattern filter is refused.
+    strategy is "exhaustive" or "hierarchical"; randomness gives the walk
+    one uniform deviate per table subspace in one random(size) call;
+    reference is the system-only state the fidelity is measured against
+    (normally the uncorrupted encoded block). A prebuilt SyndromeTable for
+    (code, t, pattern_filter) can be passed to skip rebuilding in tight
+    loops; a table built for another code, t or pattern filter is refused.
     """
     if table is None:
         table = build_syndrome_table(code, t, pattern_filter)

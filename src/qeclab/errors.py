@@ -81,9 +81,10 @@ class ErrorPattern:
 
 # -- operator application ------------------------------------------------------
 
-def _phase_signs(n, beta_index):
-    v = np.arange(1 << n)
-    return 1.0 - 2.0 * (np.bitwise_count(v & beta_index) & 1)
+def parity_signs(x, y):
+    """(-1)^(x.y) of integer arrays x and y, bit strings as integers:
+    1 - 2 (popcount(x & y) mod 2), broadcast."""
+    return 1.0 - 2.0 * (np.bitwise_count(x & y) & 1)
 
 
 def apply_amplitude(alpha, state):
@@ -108,7 +109,7 @@ def apply_phase(beta, state):
     b = beta.to_index()
     if b == 0:
         return state
-    signs = _phase_signs(state.qubit_count, b)
+    signs = parity_signs(np.arange(state.layout.system_dim), b)
     signs = signs.reshape((-1,) + (1,) * len(state.layout.env_dims))
     return PureState._trusted(state.layout, state.amps * signs,
                               normalized=state.is_normalized)

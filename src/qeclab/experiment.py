@@ -71,7 +71,7 @@ from .codes import encode_stack, load_code
 from .decoder import (DYADIC, build_syndrome_table, sample_walks,
                       stack_coordinates, verify_blocks, verify_complement)
 from .rng import TrialStreams, doubles, philox_words
-from .statespace import DIM_CAP, TOL_NORM
+from .statespace import DIM_CAP, TOL_NORM, row_norms
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
 SUCCESS_FIDELITY = 1.0 - 1e-8
@@ -333,11 +333,7 @@ class _ExperimentContext:
             half = 1 << self.code.l
             logical = (normals[:, split:split + half]
                        + 1j * normals[:, split + half:])
-            # row by row the sum np.linalg.norm takes, so that the norms
-            # match the one-trial case bit for bit
-            logical /= np.sqrt(
-                np.vecdot(logical.real, logical.real)
-                + np.vecdot(logical.imag, logical.imag))[:, np.newaxis]
+            logical /= row_norms(logical)[:, np.newaxis]
         else:
             logical = np.repeat(self.fixed_logical[np.newaxis], g, axis=0)
         refs = encode_stack(self.code, logical)

@@ -125,6 +125,14 @@ def _fsum_norm_sq(arr):
         return math.inf
 
 
+def row_norms(rows):
+    """The norm of each row of a complex (g, k) array, as the sum
+    np.linalg.norm takes, so that a stack gives each row's one-row norm bit
+    for bit."""
+    return np.sqrt(np.vecdot(rows.real, rows.real)
+                   + np.vecdot(rows.imag, rows.imag))
+
+
 class PureState:
     """A complex amplitude vector over a FactorLayout.
 

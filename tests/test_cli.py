@@ -795,8 +795,10 @@ def test_a_write_that_fails_exits_two(argv, option):
     _SIMULATE,
     # the summary goes to stdout when the records go to --out
     _SIMULATE + ["--out", os.devnull],
+    ["--help"],
+    ["verify", "--help"],
 ], ids=["verify", "bounds", "demo3", "catalogue", "simulate",
-        "simulate-summary"])
+        "simulate-summary", "help", "verify-help"])
 def test_a_write_to_stdout_that_fails_exits_two(argv):
     # in a child process, so that the interpreter's own flush of stdout at
     # exit would show too

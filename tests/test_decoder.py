@@ -28,17 +28,7 @@ from qeclab import decoder
 from qeclab.decoder import sample_walk
 
 from input_files import shipped_code_data
-from walk_trees import check_strategies
-
-
-class Stream:
-    """Scripted measurement deviates: 0.0 forces outcome 1, 1.0 forces 0."""
-
-    def __init__(self, us):
-        self.us = list(us)
-
-    def random(self):
-        return self.us.pop(0) if self.us else 1.0
+from walk_trees import Stream, check_strategies
 
 
 def encoded(code_name, c0=0.6, c1=0.8):

@@ -165,7 +165,7 @@ def test_scripted_walks_collapse_onto_the_oracle_projection(tables, block,
         randomness = Stream(us)
         collapsed, got, trace = measure(state, table, randomness)
         assert got == syndrome
-        assert randomness.us == []  # one deviate per measurement
+        assert randomness.served == N  # one deviate per subspace
         assert len(trace) == len(us)
         assert collapsed.layout == state.layout
         assert np.max(np.abs(collapsed.matrix() - expected)) <= 1e-10
@@ -329,8 +329,8 @@ def test_array_walk_matches_the_scalar_walk(stack, dyadic):
         labels = [(table.labels[lo] if mid - lo == 1
                    else "U[%d..%d]" % (lo, mid - 1), outcome)
                   for lo, mid, outcome in steps]
-        # the public walk draws one deviate per measurement as it goes
+        # the public walk draws one deviate per subspace in one call
         stream = Stream(U[j].tolist())
         assert sample_walk(table, P[j], p_none[j], stream, dyadic) == (
             i, labels, f)
-        assert len(stream.us) == len(table) - len(steps)
+        assert stream.served == len(table)

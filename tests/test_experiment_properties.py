@@ -164,7 +164,7 @@ def live_draw(ctx, trial):
 
 def live_walks(ctx, start, stop):
     """(index, measurements, forced) of trials [start, stop), each walked
-    alone by sample_walk on deviates drawn live from its own stream."""
+    alone by sample_walk on its own stream."""
     out = []
     for trial in range(start, stop):
         rng, activated, normals = live_draw(ctx, trial)

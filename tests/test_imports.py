@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every name the package exports is used by the package, a demo or the
-benchmark, not by the tests alone.
+benchmark, not by the tests alone, and every module-level private function
+or class is used by the package outside its own body.
 
 The package's __init__.py imports names only to re-export them, so it is
 left out of the first check; so are __future__ imports, which change how a
@@ -8,6 +9,7 @@ module compiles.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -72,3 +74,30 @@ def test_every_exported_name_is_used_outside_the_tests():
     unused = [name for name in exported_names() if name not in used]
     assert not unused, ("qeclab exports names that only tests use: %s"
                         % ", ".join(unused))
+
+
+def loaded_names(node):
+    """Every name node loads at any depth, as a name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def test_every_private_function_or_class_is_used_in_the_package():
+    paths = sorted(pathlib.Path(qeclab.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in paths]
+    loads = collections.Counter(name for tree in trees
+                                for name in loaded_names(tree))
+    unused = ["%s.%s" % (path.stem, node.name)
+              for path, tree in zip(paths, trees) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and not node.name.startswith("__")
+              # loads inside its own body (recursion) do not count
+              and loads[node.name] == sum(
+                  name == node.name for name in loaded_names(node))]
+    assert not unused, ("private functions or classes the package never "
+                        "uses: %s" % ", ".join(unused))

@@ -4,14 +4,17 @@ The engine draws many trials' activations in one numpy pass over their
 Philox streams, then resumes one shared generator per trial and draws each
 trial's walk deviates ahead of the walk, for
 decoder.sample_walks; each must reproduce, draw for draw, what a fresh
-rng.trial_generator(seed, trial) would give.
+rng.trial_generator(seed, trial) would give. The public one-walk calls
+draw the same deviates, one per syndrome subspace, in one call.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qeclab import build_syndrome_table, load_code, trial_generator
+from qeclab import (apply_channel, build_syndrome_table, correct, encode,
+                    load_code, measure_exhaustive, measure_hierarchical,
+                    random_channel, trial_generator)
 from qeclab.decoder import sample_walk, sample_walks
 from qeclab.rng import TrialStreams, doubles, philox_words
 
@@ -88,14 +91,52 @@ def walks(draw):
     return table, [w / total for w in weights[:-1]], weights[-1] / total
 
 
+def noisy_block(code):
+    """(corrupted block, encoded reference) of a code: qubits 0 and 2 sent
+    through random channels, so that its walks can end in many subspaces
+    (and, for an incomplete table, in the complement)."""
+    ref = encode(code, np.array([0.6, 0.8]))
+    rng = np.random.default_rng(1)
+    state = ref
+    for qubit in (0, 2):
+        state = apply_channel(state, qubit, random_channel(2, rng))
+    return state, ref
+
+
+BLOCKS = {name: noisy_block(table.code) for name, table in TABLES.items()}
+
+
+def value_after(seed, trial, count):
+    """The value a fresh trial_generator(seed, trial) draws after count."""
+    rng = trial_generator(seed, trial)
+    rng.random(count)
+    return rng.random()
+
+
 @SETTINGS
 @given(walks(), SEEDS, TRIALS, st.booleans())
 def test_prefetched_deviates_drive_the_same_walk(walk, seed, trial, dyadic):
     table, p, p_none = walk
-    i, trace, forced = sample_walk(table, p, p_none,
-                                   trial_generator(seed, trial), dyadic)
+    rng = trial_generator(seed, trial)
+    i, trace, forced = sample_walk(table, p, p_none, rng, dyadic)
     prefetched = trial_generator(seed, trial).random((1, len(table)))
     got = sample_walks(table, np.array([p]), np.array([p_none]), prefetched,
                        dyadic)
     assert [int(a[0]) for a in got] == [len(table) if i is None else i,
                                         len(trace), forced]
+    # a public walk gives up one deviate per subspace, however many
+    # measurements it takes; complete (phase3, perfect5) and incomplete
+    # (shor9) tables alike
+    assert rng.random() == value_after(seed, trial, len(table))
+    for name, public in TABLES.items():
+        state, ref = BLOCKS[name]
+        want = value_after(seed, trial, len(public))
+        for strategy, measure in [("exhaustive", measure_exhaustive),
+                                  ("hierarchical", measure_hierarchical)]:
+            rng = trial_generator(seed, trial)
+            correct(state, public.code, public.t, strategy, rng, ref,
+                    public.pattern_filter, table=public)
+            assert rng.random() == want
+            rng = trial_generator(seed, trial)
+            measure(state, public, rng)
+            assert rng.random() == want

@@ -18,13 +18,18 @@ from qeclab.decoder import DYADIC, sample_walk
 
 
 class Stream:
-    """Scripted uniform deviates, one per measurement."""
+    """Scripted uniform deviates, served by random(size) and padded past the
+    script with 1.0: 0.0 draws outcome 1, 1.0 outcome 0. served counts the
+    values given up."""
 
     def __init__(self, us):
         self.us = list(us)
+        self.served = 0
 
-    def random(self):
-        return self.us.pop(0)
+    def random(self, size):
+        head, self.us = self.us[:size], self.us[size:]
+        self.served += size
+        return np.array(head + [1.0] * (size - len(head)))
 
 
 def left_to_right(values):
@@ -65,9 +70,9 @@ def walk_tree(p, p_none, dyadic, complete):
 
 def check_strategies(state, table):
     """Both strategies' tree distributions equal syndrome_distribution's
-    within 1e-12, and deviates scripted at the tree's thresholds steer
-    sample_walk to every leaf of mass above 1e-9, one deviate per
-    measurement, none of them forced."""
+    within 1e-12, and deviates scripted at the tree's thresholds, one per
+    measurement, steer sample_walk to every leaf of mass above 1e-9, none
+    of them forced."""
     _, probs = syndrome_distribution(state, table)
     p, p_none = probs[:-1], probs[-1]
     for strategy, dyadic in DYADIC.items():
