@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .codes import json_int
+from .codes import json_value
 from .statespace import TOL_NORM, FactorLayout, PureState
 
 _UNITARITY_CONSTRAINTS = ("row0_norm", "row1_norm", "row_orthogonality")
@@ -241,10 +241,12 @@ def residue_oracle(channels, alpha, beta):
 
 def channel_from_dict(data):
     try:
-        d = json_int(data, "env_dim")
-        vecs = {name: np.array([complex(re, im) for re, im in data[name]])
+        d = json_value(data["env_dim"], "env_dim", "an integer")
+        vecs = {name: np.array([complex(json_value(re, name, "a number"),
+                                        json_value(im, name, "a number"))
+                                for re, im in data[name]])
                 for name in ("a00", "a01", "a10", "a11")}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("malformed channel data: %s" % exc)
     ch = QubitChannel(**vecs)
     if ch.env_dim != d:

@@ -440,18 +440,23 @@ def encode(code, logical):
 
 # -- code files and catalogue -------------------------------------------------
 
-def json_int(data, field):
-    """data[field] if it is a JSON integer (not a bool), else TypeError."""
-    value = data[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("%s must be an integer, not %r" % (field, value))
+#: the JSON kinds a file's fields are checked for, as json reads them
+_JSON_KINDS = {"an integer": int, "a number": (int, float), "a string": str}
+
+
+def json_value(value, what, kind):
+    """value if json reads it as `kind`, a key of _JSON_KINDS, else
+    TypeError; true and false are neither integers nor numbers."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise TypeError("%s must be %s, not %r" % (what, kind, value))
     return value
 
 
 def code_from_dict(data):
     try:
-        name = data["name"]
-        n, l, t = (json_int(data, field) for field in ("n", "l", "t"))
+        name = json_value(data["name"], "name", "a string")
+        n, l, t = (json_value(data[field], field, "an integer")
+                   for field in ("n", "l", "t"))
         raw_vectors = data["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed code file: %s" % exc)
@@ -466,7 +471,8 @@ def code_from_dict(data):
             vec = np.zeros(1 << n, dtype=np.complex128)
             seen = set()
             for entry in entries:
-                v = BitString.from_text(entry["basis"])
+                v = BitString.from_text(
+                    json_value(entry["basis"], "basis", "a string"))
                 if len(v) != n:
                     raise ValueError("basis label %r has wrong length"
                                      % entry["basis"])
@@ -474,10 +480,11 @@ def code_from_dict(data):
                     raise ValueError("malformed code file: basis label %r "
                                      "repeats" % v)
                 seen.add(v)
-                vec[v.to_index()] = (entry.get("re", 0.0)
-                                     + 1j * entry.get("im", 0.0))
+                vec[v.to_index()] = (
+                    json_value(entry.get("re", 0.0), "re", "a number")
+                    + 1j * json_value(entry.get("im", 0.0), "im", "a number"))
             vectors.append(PureState.from_amplitudes(n, vec))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError("malformed code file: %s" % exc)
     return QuantumCode(name, n, l, t, vectors)
 

@@ -19,9 +19,9 @@ joint amplitudes, each block in three phases:
    pinned to numpy's Philox bit for bit. A trial whose first draw exceeds
    --max-active resumes its stream on the context's one generator just
    after that draw, and redraws there until the cap holds. Then, block by
-   block, the generator is resumed in each trial's substream just after its
-   accepted activation draw (one state set), and the trial makes its other
-   draws before the next trial's:
+   block, the generator is resumed in each trial's substream at the count of
+   words its activation draws took, k * (1 + redraws) for k eligible qubits,
+   and the trial makes its other draws before the next trial's:
    one standard-normal draw holding the channel parameters and the logical
    state, into a row of the block's preallocated array, then uniform
    deviates for the measurement walk, as many as the walk can take (one per
@@ -285,16 +285,12 @@ class _ExperimentContext:
         self.channel_normals = 8 * self.env_dim if channel is None else 0
         self.logical_normals = (2 << self.code.l if self.fixed_logical is None
                                 else 0)
-        # the words of a trial's first activation draw, to the end of the
-        # 4-word Philox block it ends in
-        self.activation_words = 4 * -(-len(self.eligible) // 4)
         self.streams = TrialStreams()
 
     def activations(self, start, stop):
         """The accepted activation draws of trials [start, stop): (hits, a
         (stop - start, len(eligible)) bool array; redraws, how many draws
-        past the first --max-active forced on each trial; last, the 4 words
-        of the Philox block each trial's accepted draw ends in).
+        past the first --max-active forced on each trial).
 
         Every trial's first draw comes from one numpy pass over the
         substreams (rng.philox_words). A trial whose first draw breaks
@@ -303,21 +299,17 @@ class _ExperimentContext:
         """
         cfg = self.config
         k = len(self.eligible)
-        words = philox_words(cfg.seed, np.arange(start, stop, dtype=np.uint64),
-                             self.activation_words)
-        hits = doubles(words[:, :k]) < cfg.p
-        last = words[:, -4:]
+        hits = doubles(philox_words(
+            cfg.seed, np.arange(start, stop, dtype=np.uint64), k)) < cfg.p
         redraws = np.zeros(stop - start, dtype=np.intp)
         if cfg.max_active is not None:
             for j in np.flatnonzero(hits.sum(axis=1)
                                     > cfg.max_active).tolist():
-                rng = self.streams.resume(cfg.seed, start + j, k,
-                                          last[j].tolist())
+                rng = self.streams.resume(cfg.seed, start + j, k)
                 while hits[j].sum() > cfg.max_active:
                     hits[j] = rng.random(k) < cfg.p
                     redraws[j] += 1
-                last[j] = rng.bit_generator.state["buffer"]
-        return hits, redraws, last
+        return hits, redraws
 
     def propagate(self, activated, normals):
         """Phase 2 of a group of trials that all activated `activated`, whose
@@ -395,9 +387,9 @@ class _ExperimentContext:
                 self.table, M[outside], coeff[outside], refs[outside])
         return fidelity, top
 
-    def run_block(self, start, hits, redraws, last):
+    def run_block(self, start, hits, redraws):
         """Records of trials start, start + 1, ... whose accepted activation
-        draws are (hits, redraws, last), as activations gives them, and the
+        draws are (hits, redraws), as activations gives them, and the
         (measurements, forced outcomes) of their walks as a (2, len(hits))
         array."""
         cfg = self.config
@@ -416,13 +408,12 @@ class _ExperimentContext:
         Z = np.empty((b, max(counts)))
         layout = layout.tolist()
         ends = (k * (1 + redraws)).tolist()
-        blocks = last.tolist()
 
         def resume(j):
             """The shared generator in trial start + j's substream, resumed
             just after its accepted activation draw and then past the
             standard normals it draws into Z[j]."""
-            rng = self.streams.resume(cfg.seed, start + j, ends[j], blocks[j])
+            rng = self.streams.resume(cfg.seed, start + j, ends[j])
             rng.standard_normal(out=Z[j, :counts[layout[j]]])
             return rng
 
@@ -469,19 +460,19 @@ class _ExperimentContext:
         """run_block's records of trials [start, stop), and a (3, stop -
         start) array of each trial's walk measurements, forced outcomes and
         activation redraws. Activations are drawn for a chunk of whole
-        blocks at a time, holding at most BLOCK_AMPLITUDES Philox words (or
-        one block), and trials then run one block of at most block_trials at
-        a time."""
+        blocks at a time, whose first draws compute at most BLOCK_AMPLITUDES
+        Philox words in whole 4-word blocks (or one block of trials), and
+        trials then run one block of at most block_trials at a time."""
         chunk = self.block_trials * max(1, BLOCK_AMPLITUDES // max(
-            1, self.activation_words * self.block_trials))
+            1, 4 * -(-len(self.eligible) // 4) * self.block_trials))
         records, walks = [], []
         for c in range(start, stop, chunk):
             d = min(c + chunk, stop)
             drawn = self.activations(c, d)
             for a in range(c, d, self.block_trials):
                 rows = slice(a - c, min(a + self.block_trials, d) - c)
-                hits, redraws, last = (x[rows] for x in drawn)
-                got = self.run_block(a, hits, redraws, last)
+                hits, redraws = (x[rows] for x in drawn)
+                got = self.run_block(a, hits, redraws)
                 records += got[0]
                 walks.append(np.vstack([got[1], redraws]))
         return records, np.concatenate(walks, axis=1)

@@ -14,11 +14,11 @@ bit for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11).
 
 An engine running many trials keeps one TrialStreams and resumes its
-generator in each trial's substream after the words the array pass gave,
-so the trial goes on drawing from numpy where that pass left off: setting
-the key, counter and buffer on an existing generator yields exactly the
-stream a fresh one would from there, without building (and seeding from
-OS entropy) a new bit generator each time.
+generator in each trial's substream by the count of words the trial has
+drawn: the key and the counter fix the stream, so that count is the trial's
+whole place in it, and setting the key and counter on an existing generator
+yields exactly the stream a fresh one would from there, without building
+(and seeding from OS entropy) a new bit generator each time.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ def doubles(words):
 class TrialStreams:
     """One Philox generator, resumed at any point of any trial's substream.
 
-    resume(seed, trial, count, block) returns the shared generator in the
-    state trial_generator(seed, trial) reaches after its first `count`
-    words, so every draw the trial makes from there is the same as from its
-    own generator -- as long as the trial finishes drawing before the next
+    resume(seed, trial, count) returns the shared generator in the state
+    trial_generator(seed, trial) reaches after its first `count` words, so
+    every draw the trial makes from there is the same as from its own
+    generator -- as long as the trial finishes drawing before the next
     resume. Forked workers inherit a copy.
     """
 
@@ -109,18 +109,13 @@ class TrialStreams:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
-    def resume(self, seed, trial, count, block):
+    def resume(self, seed, trial, count):
         """The shared generator, in trial's substream after its first
-        `count` words. `block` holds the 4 words of the Philox block that
-        word count - 1 lies in (words 4c - 4 .. 4c - 1, c = ceil(count / 4),
-        as philox_words gives them); it is not read when count is 0, the
-        start of the substream, whose buffer is exhausted whatever it
-        holds."""
-        blocks = -(-count // 4)
+        `count` words: at the end of block count // 4, its buffer exhausted,
+        then past the count % 4 words drawn from the next block."""
         self._key[:] = int(seed) & _MASK64, int(trial) & _MASK64
-        self._counter[0] = blocks
-        if count:
-            self._state["buffer"] = block
-        self._state["buffer_pos"] = count - 4 * (blocks - 1)
+        self._counter[0] = count // 4
         self._bit_generator.state = self._state
+        if count % 4:
+            self._bit_generator.random_raw(count % 4)
         return self._generator

@@ -263,3 +263,19 @@ def test_channel_from_dict_rejects_malformed_data():
     data["a00"] = [[0.5, 0.0], [0.0, 0.0]]
     loaded = channel_from_dict(data)
     assert validate(loaded)
+
+
+@pytest.mark.parametrize("entry, message", [
+    # a bool is an int to Python, and would read as the amplitude 1
+    ([True, 0.0], "a00 must be a number, not True"),
+    ([1.0, False], "a00 must be a number, not False"),
+    ([None, 0.0], "a00 must be a number, not None"),
+    pytest.param([10 ** 400, 0.0], "int too large to convert to float",
+                 id="huge-int"),
+])
+def test_a_channel_entry_must_be_a_pair_of_json_numbers(entry, message):
+    data = decoherence_data()
+    data["a00"] = [entry, [0.0, 0.0]]
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed channel data: %s" % message)):
+        channel_from_dict(data)

@@ -18,7 +18,8 @@ from qeclab import cli, experiment
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
-from input_files import repetition_code_data, shipped_code_data
+from input_files import (decoherence_data, repetition_code_data,
+                         shipped_code_data)
 
 
 def run(argv):
@@ -488,6 +489,16 @@ def test_simulate_rejects_bad_parameters():
      "state not normalized: |amps|^2 = inf"),
     (1, 0, [{"basis": "(0)", "re": 1.3e154}, {"basis": "(1)", "im": 1.3e154}],
      "state not normalized: |amps|^2 = inf"),
+    # a label that is no string would end in from_text's AttributeError,
+    # and a bool amplitude would read as 1
+    (1, 0, [{"basis": 5}], "malformed code file: basis must be a string, "
+     "not 5"),
+    (1, 0, [{"basis": None}], "malformed code file: basis must be a "
+     "string, not None"),
+    (1, 0, [{"basis": "(0)", "re": True}], "malformed code file: re must "
+     "be a number, not True"),
+    (1, 0, [{"basis": "(0)", "im": True}], "malformed code file: im must "
+     "be a number, not True"),
 ])
 @pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
 def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
@@ -519,6 +530,30 @@ def test_a_code_file_integer_field_must_be_a_json_integer(
     assert out == ""
     assert err == ("error: malformed code file: %s must be an integer, "
                    "not %r\n" % (field, value))
+
+
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
+def test_a_code_files_name_must_be_a_json_string(tmp_path, command):
+    # verify would echo the number back as the code's name
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(dict(shipped_code_data("phase3"), name=5)))
+    rc, out, err = run(command + ["--code", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: malformed code file: name must be a string, not 5\n"
+
+
+def test_a_channel_file_with_a_bool_entry_exits_two(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(dict(decoherence_data(),
+                                    a00=[[True, 0.0], [0.0, 0.0]])))
+    rc, out, err = run(["simulate", "--code", "phase3", "--filter",
+                        "phase-only", "--p", "0.5", "--channel", str(path),
+                        "--trials", "5"])
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: cannot load channel %r: malformed channel data: "
+                   "a00 must be a number, not True\n" % str(path))
 
 
 def test_a_code_file_with_a_huge_n_exits_two(tmp_path):

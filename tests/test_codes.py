@@ -184,6 +184,33 @@ def test_a_code_file_is_read_as_written(tmp_path):
     assert np.array_equal(code.matrix(), [[0, 0.6, 0.8j, 0]])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # from_text would fail on a number or null with an AttributeError
+    ("basis", 5, "basis must be a string, not 5"),
+    ("basis", None, "basis must be a string, not None"),
+    # a bool is an int to Python, and would read as the amplitude 1
+    ("re", True, "re must be a number, not True"),
+    ("im", True, "im must be a number, not True"),
+    ("re", "0.5", "re must be a number, not '0.5'"),
+    pytest.param("re", 10 ** 400, "int too large to convert to float",
+                 id="re-huge-int"),
+])
+def test_a_code_file_entry_must_hold_a_label_and_json_numbers(
+        field, value, message):
+    payload = shipped_code_data("phase3")
+    payload["vectors"][0][0][field] = value
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed code file: %s" % message)):
+        code_from_dict(payload)
+
+
+def test_a_code_files_name_must_be_a_json_string():
+    payload = dict(shipped_code_data("phase3"), name=5)
+    with pytest.raises(ValueError, match=re.escape(
+            "malformed code file: name must be a string, not 5")):
+        code_from_dict(payload)
+
+
 def test_code_from_dict_rejects_non_orthonormal_vectors():
     payload = shipped_code_data("phase3")
     payload["vectors"][1] = payload["vectors"][0]

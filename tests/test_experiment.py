@@ -150,8 +150,8 @@ def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
     forced = []
     real_block = experiment._ExperimentContext.run_block
 
-    def run_block(self, start, hits, redraws, last):
-        got = real_block(self, start, hits, redraws, last)
+    def run_block(self, start, hits, redraws):
+        got = real_block(self, start, hits, redraws)
         forced.append(int(got[1][1].sum()))
         return got
 
@@ -173,9 +173,9 @@ def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):
         stacks.append(M.size)
         return real_coordinates(table, M)
 
-    def run_block(self, start, hits, redraws, last):
+    def run_block(self, start, hits, redraws):
         blocks.append(len(hits))
-        return real_block(self, start, hits, redraws, last)
+        return real_block(self, start, hits, redraws)
 
     monkeypatch.setattr(experiment, "stack_coordinates", coordinates)
     monkeypatch.setattr(experiment._ExperimentContext, "run_block",

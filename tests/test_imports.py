@@ -101,3 +101,18 @@ def test_every_private_function_or_class_is_used_in_the_package():
                   name == node.name for name in loaded_names(node))]
     assert not unused, ("private functions or classes the package never "
                         "uses: %s" % ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name != "rng.py"],
+                         ids=lambda path: path.name)
+def test_only_the_rng_module_touches_a_bit_generator(path):
+    # a trial's place in its stream is the count of words it drew, which
+    # rng.TrialStreams.resume turns into generator state; no other module
+    # reads or sets that state
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "bit_generator"]
+    assert not lines, "%s names bit_generator at lines %s" % (path.name,
+                                                              lines)
