@@ -162,10 +162,12 @@ def _format_state(state, limit=32):
         if env_dims:
             idx = np.unravel_index(int(e), env_dims)
             ket += "".join("|e%d>" % i for i in idx)
+        # a part below 1e-12, a signed zero included, prints as 0
+        re = amp.real if abs(amp.real) >= 1e-12 else 0.0
         if abs(amp.imag) < 1e-12:
-            coeff = "%+.4f" % amp.real
+            coeff = "%+.4f" % re
         else:
-            coeff = "+(%.4f%+.4fj)" % (amp.real, amp.imag)
+            coeff = "+(%.4f%+.4fj)" % (re, amp.imag)
         parts.append("%s %s" % (coeff, ket))
         if len(parts) >= limit:
             parts.append("...")

@@ -471,11 +471,14 @@ def code_from_dict(data):
             vec = np.zeros(1 << n, dtype=np.complex128)
             seen = set()
             for entry in entries:
-                v = BitString.from_text(
-                    json_value(entry["basis"], "basis", "a string"))
+                label = json_value(entry["basis"], "basis", "a string")
+                try:
+                    v = BitString.from_text(label)
+                except ValueError as exc:
+                    raise ValueError("malformed code file: %s" % exc)
                 if len(v) != n:
-                    raise ValueError("basis label %r has wrong length"
-                                     % entry["basis"])
+                    raise ValueError("malformed code file: basis label %r "
+                                     "has wrong length" % label)
                 if v in seen:
                     raise ValueError("malformed code file: basis label %r "
                                      "repeats" % v)

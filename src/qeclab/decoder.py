@@ -33,6 +33,12 @@ the mass of its union divided by the mass not yet ruled out, and deviates
 past the walk's last measurement go unread. If every outcome is 0 the state
 collapses to the orthogonal complement of all table subspaces and no
 correction is attempted.
+
+correct decodes one state as the paper states it: measure, recover, then
+fidelity_against and schmidt_diagnostics on the recovered joint state.
+verify_outcomes checks a stack of decodes at once in syndrome coordinates,
+where recovery is an isometry and each identified outcome's check needs
+only its 2^l x d_E coordinate block; the engine behind simulate uses it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import numpy as np
 
 from .errors import ErrorPattern, apply_amplitude, apply_phase, pattern_texts
 from .codes import ConditionError, _gram_check
-from .statespace import TOL_NORM, TOL_ZERO, PureState, row_norms
+from .statespace import (TOL_NORM, TOL_ZERO, PureState, fidelity_against,
+                         row_norms, schmidt_diagnostics)
 
 #: pattern filter -> the correctability condition over the same patterns
 _FILTER_CONDITIONS = {"all": "general", "phase-only": "phase",
@@ -292,24 +299,16 @@ def sample_walk(table, p, p_none, randomness, dyadic):
     return None if i == n else i, trace, int(forced[0])
 
 
-def _walk_state(state, table, randomness, dyadic):
-    """One state's walk: (M, coeff, p) as _coordinates gives them, then the
-    answering subspace i and its pattern (None: the complement) and trace."""
-    M, coeff, p, p_none = _coordinates(state, table)
-    i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
-    syndrome = (None if i is None
-                else ErrorPattern.from_key(table.keys[i], table.code.n))
-    return M, coeff, p, i, syndrome, trace
-
-
 def _measure(state, table, randomness, dyadic):
     """A walk and the renormalized state it leaves in the subspace that
     answered, or in the complement: (collapsed_state, syndrome, trace)."""
-    M, coeff, p, i, syndrome, trace = _walk_state(state, table, randomness,
-                                                  dyadic)
+    M, coeff, p, p_none = _coordinates(state, table)
+    i, trace, _ = sample_walk(table, p, p_none, randomness, dyadic)
     if i is None:
+        syndrome = None
         vec = _complement(table, M[np.newaxis], coeff[np.newaxis])[0]
     else:
+        syndrome = ErrorPattern.from_key(table.keys[i], table.code.n)
         a, b = i << table.code.l, (i + 1) << table.code.l
         vec = table.rows[a:b].T @ coeff[a:b] / math.sqrt(p[i])
     collapsed = PureState._trusted(state.layout,
@@ -409,52 +408,52 @@ class DecodeReport:
                                    self.disentangled, self.corrected))
 
 
-def _fidelity_and_top_schmidt(bras, states):
-    """(fidelity, max Schmidt coefficient) of each state of a stack
-    (g, rows, d_E) against its own reference bra, bras being (g, 1, rows)."""
-    w = np.matmul(bras, states)
-    fidelity = np.sum(np.abs(w) ** 2, axis=(1, 2))
-    max_schmidt = np.linalg.svd(states, compute_uv=False)[:, 0]
-    return fidelity, max_schmidt
+def verify_outcomes(table, index, references, M, coeff, p):
+    """(fidelity, max Schmidt coefficient) arrays of a stack of decodes, one
+    entry per decode, whose walks ended in subspace index[j] (len(table):
+    the complement).
 
-
-def verify_blocks(table, blocks, p, references):
-    """Verify a stack of identified outcomes: (renormalized blocks,
-    fidelity, max Schmidt coefficient), one entry per outcome.
-
-    blocks (g, 2^l, d_E) holds each outcome's coordinate block coeff_i in
-    the subspace i that answered, p (g,) its probability p_i and references
-    (g, 2^n) the system amplitudes fidelity is measured against. The
-    recovered state is C^T b with b = coeff_i / sqrt(p_i); C^T is an
-    isometry, so the fidelity ||(conj(ref) C^T) b||^2 and the Schmidt
-    coefficients (the singular values of b) come from the 2^l x d_E block
-    alone. Every outcome's numbers come from fixed-shape products of its
-    own arrays.
-    """
-    blocks = blocks / np.sqrt(p)[:, np.newaxis, np.newaxis]
-    ref_coords = np.matmul(references.conj()[:, np.newaxis, :],
-                           table.code.matrix().T)
-    return (blocks,) + _fidelity_and_top_schmidt(ref_coords, blocks)
-
-
-def verify_complement(table, M, coeff, references):
-    """Verify a stack of decodes that ended in the complement of every
-    subspace: (renormalized complement matrices, fidelity, max Schmidt
-    coefficient), one entry per decode.
-
-    M (g, 2^n, d_E) holds each decode's state matrix, coeff (g, rows, d_E)
-    its syndrome coordinates and references (g, 2^n) the system amplitudes
-    fidelity is measured against. Every decode's numbers come from
+    references (g, 2^n) holds the system amplitudes fidelity is measured
+    against, M (g, 2^n, d_E) the state matrices, coeff (g, rows, d_E) their
+    syndrome coordinates and p (g, len(table)) their syndrome
+    probabilities. An identified outcome's recovered state is C^T b with b
+    = coeff_i / sqrt(p_i): C^T is an isometry, so its fidelity ||(conj(ref)
+    C^T) b||^2 and its Schmidt coefficients (the singular values of b) come
+    from the 2^l x d_E block alone. An outcome in the complement is checked
+    on its renormalized complement matrix. Every decode's numbers come from
     fixed-shape products of its own arrays.
     """
-    rest = _complement(table, M, coeff)
-    return (rest,) + _fidelity_and_top_schmidt(
-        references.conj()[:, np.newaxis, :], rest)
+    size = 1 << table.code.l  # the rows of one subspace
+    fidelity, top = np.empty(len(index)), np.empty(len(index))
+    found = np.flatnonzero(index < len(table))
+    outside = np.flatnonzero(index == len(table))
+    stacks = []  # (members, reference bras (g, 1, rows), states)
+    if len(found):
+        i = index[found]
+        rows = i[:, np.newaxis] * size + np.arange(size)
+        bras = np.matmul(references[found].conj()[:, np.newaxis],
+                         table.code.matrix().T)
+        stacks.append((found, bras, coeff[found[:, np.newaxis], rows]
+                       / np.sqrt(p[found, i])[:, np.newaxis, np.newaxis]))
+    if len(outside):
+        stacks.append((outside, references[outside].conj()[:, np.newaxis],
+                       _complement(table, M[outside], coeff[outside])))
+    for members, bras, states in stacks:
+        fidelity[members] = np.sum(np.abs(np.matmul(bras, states)) ** 2,
+                                   axis=(1, 2))
+        top[members] = np.linalg.svd(states, compute_uv=False)[:, 0]
+    return fidelity, top
 
 
 def correct(state, code, t, strategy, randomness, reference,
             pattern_filter="all", table=None):
-    """Measure, recover, verify: the full decode pass.
+    """Measure, recover, verify: the full decode pass, the paper's procedure
+    on one state.
+
+    The walk collapses the state; recover undoes the pattern of the
+    subspace that answered (a state left in the complement is kept as it
+    is), and the result is checked against the reference with
+    fidelity_against and schmidt_diagnostics on the whole joint state.
 
     strategy is "exhaustive" or "hierarchical"; randomness gives the walk
     one uniform deviate per table subspace in one random(size) call;
@@ -479,25 +478,14 @@ def correct(state, code, t, strategy, randomness, reference,
     if reference.qubit_count != state.qubit_count:
         raise ValueError("qubit count mismatch: %d vs %d"
                          % (reference.qubit_count, state.qubit_count))
-    M, coeff, p, i, syndrome, trace = _walk_state(state, table, randomness,
-                                                  dyadic)
-    ref = reference.amps.reshape(1, -1)
-    if i is None:
-        recovered, fidelity, max_schmidt = verify_complement(
-            table, M[np.newaxis], coeff[np.newaxis], ref)
-        recovered = recovered[0]
-    else:
-        a, b = i << table.code.l, (i + 1) << table.code.l
-        blocks, fidelity, max_schmidt = verify_blocks(
-            table, coeff[np.newaxis, a:b], p[i:i + 1], ref)
-        recovered = table.code.matrix().T @ blocks[0]
-    fidelity, max_schmidt = float(fidelity[0]), float(max_schmidt[0])
+    collapsed, syndrome, trace = _measure(state, table, randomness, dyadic)
+    recovered = collapsed if syndrome is None else recover(collapsed,
+                                                           syndrome)
     return DecodeReport(
         syndrome=syndrome,
         outcome_trace=trace,
-        recovered_state=PureState._trusted(
-            state.layout, recovered.reshape(state.layout.shape)),
-        fidelity=fidelity,
-        disentangled=bool(max_schmidt >= 1.0 - TOL_NORM),
-        corrected=i is not None,
+        recovered_state=recovered,
+        fidelity=fidelity_against(recovered, reference),
+        disentangled=schmidt_diagnostics(recovered)[0] >= 1.0 - TOL_NORM,
+        corrected=syndrome is not None,
     )

@@ -33,14 +33,15 @@ joint amplitudes, each block in three phases:
    qubit's channel is applied to the whole stack, and one product takes
    every trial's syndrome coordinates;
 3. decode -- one array walk (decoder.sample_walks) advances every trial's
-   measurement walk on its prefetched deviates, round by round, and each
-   group's outcomes are verified on their small syndrome blocks. A walk's
-   masses are left-to-right sums, taken as masked cumulative sums, so no
-   interpreter's float sum() enters them. A clean trial walks on the
-   largest deviate below 1, which keeps its result exactly when every step
-   is certain (_ExperimentContext.walk); any other clean trial resumes its
-   stream after its activation draw as above, draws its normals again and
-   then its deviates, and walks again.
+   measurement walk on its prefetched deviates, round by round, and one
+   decoder.verify_outcomes call per group checks its outcomes, identified
+   ones on their small syndrome blocks. A walk's masses are left-to-right
+   sums, taken as masked cumulative sums, so no interpreter's float sum()
+   enters them. A clean trial walks on the largest deviate below 1, which
+   keeps its result exactly when every step is certain
+   (_ExperimentContext.walk); any other clean trial resumes its stream
+   after its activation draw as above, draws its normals again and then
+   its deviates, and walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
@@ -69,7 +70,7 @@ from .channels import (entangle_stack, gaussian_blocks, load_channel,
                        make_decoherence, orthonormalize_blocks, validate)
 from .codes import encode_stack, load_code
 from .decoder import (DYADIC, build_syndrome_table, sample_walks,
-                      stack_coordinates, verify_blocks, verify_complement)
+                      stack_coordinates, verify_outcomes)
 from .rng import TrialStreams, doubles, philox_words
 from .statespace import DIM_CAP, TOL_NORM, row_norms
 
@@ -366,27 +367,6 @@ class _ExperimentContext:
                 self.table, P[redo], p_none[redo], U[redo], self.dyadic)
         return index, measurements, forced
 
-    def verify(self, index, refs, M, coeff, p):
-        """Phase 3's verification of a group: (fidelity, max Schmidt
-        coefficient) arrays, one entry per trial, whose walk ended in
-        subspace index[j] (len(table): the complement). Identified outcomes
-        are verified as one stack, and outcomes in the complement as
-        another."""
-        fidelity, top = np.empty(len(index)), np.empty(len(index))
-        found = np.flatnonzero(index < len(self.table))
-        if len(found):
-            i = index[found]
-            rows = ((i << self.code.l)[:, np.newaxis]
-                    + np.arange(1 << self.code.l))
-            _, fidelity[found], top[found] = verify_blocks(
-                self.table, coeff[found[:, np.newaxis], rows], p[found, i],
-                refs[found])
-        outside = np.flatnonzero(index == len(self.table))
-        if len(outside):
-            _, fidelity[outside], top[outside] = verify_complement(
-                self.table, M[outside], coeff[outside], refs[outside])
-        return fidelity, top
-
     def run_block(self, start, hits, redraws):
         """Records of trials start, start + 1, ... whose accepted activation
         draws are (hits, redraws), as activations gives them, and the
@@ -396,10 +376,10 @@ class _ExperimentContext:
         b, k = hits.shape
         # trials that activated the same qubits share a layout, found from
         # their activation masks packed into integers
-        _, first, layout = np.unique(hits @ (1 << np.arange(k)),
-                                     return_index=True, return_inverse=True)
-        shapes = [tuple(q for q, hit in zip(self.eligible, hits[f].tolist())
-                        if hit) for f in first.tolist()]
+        masks, layout = np.unique(hits @ (1 << np.arange(k)),
+                                  return_inverse=True)
+        shapes = [tuple(q for j, q in enumerate(self.eligible)
+                        if mask >> j & 1) for mask in masks.tolist()]
         # a trial's standard normals: its random channels' parameters, then
         # its logical state
         counts = [self.channel_normals * len(a) + self.logical_normals
@@ -421,14 +401,13 @@ class _ExperimentContext:
             rng = resume(j)
             if shapes[layout[j]]:  # a clean trial's deviates wait for the walk
                 rng.random(out=U[j])
-        # each layout's trials in trial order; the layouts run in the order
-        # of their first trials
+        # each layout's trials in trial order, the layouts in mask order
         groups = np.split(np.argsort(layout, kind="stable"),
                           np.cumsum(np.bincount(layout))[:-1])
         P = np.empty((b, len(self.table)))
         p_none = np.empty(b)
         stacks = []
-        for s in np.argsort(first).tolist():
+        for s in range(len(shapes)):
             refs, M, coeff, p, rest = self.propagate(
                 shapes[s], Z[groups[s], :counts[s]])
             P[groups[s]], p_none[groups[s]] = p, rest
@@ -438,8 +417,8 @@ class _ExperimentContext:
         index, measurements, forced = self.walk(P, p_none, U, clean, resume)
         fidelity, top = np.empty(b), np.empty(b)
         for members, refs, M, coeff, p in stacks:
-            fidelity[members], top[members] = self.verify(
-                index[members], refs, M, coeff, p)
+            fidelity[members], top[members] = verify_outcomes(
+                self.table, index[members], refs, M, coeff, p)
         bad = ~((-TOL_NORM <= fidelity) & (fidelity <= 1.0 + TOL_NORM))
         if bad.any():
             raise AssertionError("fidelity %r out of range"
@@ -605,9 +584,10 @@ def _unpack(data, status, start, stop):
 
 def _run_forked(ctx, shares):
     """(records, walks) of every share [a, b) in `shares`, in order: the
-    first runs here, each other one in a forked worker, whose pipe is read
-    to EOF and which is then reaped, in trial order. Any failure kills and
-    reaps every worker not yet reaped before it propagates."""
+    first runs here (a single share forks nothing), each other one in a
+    forked worker, whose pipe is read to EOF and which is then reaped, in
+    trial order. Any failure kills and reaps every worker not yet reaped
+    before it propagates."""
     workers = []  # (pid, pipe, start, stop) of the workers not yet reaped
     try:
         for a, b in shares[1:]:
@@ -647,14 +627,10 @@ def run_experiment(config, workers=1):
         raise BadInput("at most %d workers, not %d" % (MAX_WORKERS, workers))
     ctx = _ExperimentContext(config)  # validates before any trial runs
     workers = min(workers, config.trials)
+    edges = np.linspace(0, config.trials, workers + 1).astype(int)
     with _one_blas_thread():
-        if workers == 1:
-            records, walks = ctx.run_range(0, config.trials)
-        else:
-            edges = np.linspace(0, config.trials, workers + 1).astype(int)
-            records, walks = _run_forked(ctx, [
-                (int(a), int(b))
-                for a, b in zip(edges[:-1], edges[1:]) if a < b])
+        records, walks = _run_forked(ctx, [
+            (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b])
     return records, _summary(ctx, records, walks)
 
 

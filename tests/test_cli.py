@@ -344,6 +344,17 @@ def test_demo3_without_noise_reports_clean_outcome():
     assert "fidelity against the encoded block: 1.000000000000" in out
 
 
+def test_demo3_prints_a_zero_real_part_unsigned():
+    # the phase flip that recovers this block turns zero real parts into
+    # -0.0, which would print as "(-0.0000-0.3225j)"
+    rc, out, err = run(["demo3", "--c0", "0.6", "--c1", "0.8j", "--qubit",
+                        "1", "--overlap", "0.3", "--seed", "5"])
+    assert rc == 0
+    assert "identified error pattern A(000)P(010)" in out
+    assert "+(0.0000-0.3225j) |010>|e1>" in out
+    assert "-0.0000" not in out
+
+
 def test_demo3_is_seed_reproducible():
     first = run(["demo3", "--seed", "17", "--overlap", "0.2"])
     second = run(["demo3", "--seed", "17", "--overlap", "0.2"])
@@ -495,6 +506,12 @@ def test_simulate_rejects_bad_parameters():
      "not 5"),
     (1, 0, [{"basis": None}], "malformed code file: basis must be a "
      "string, not None"),
+    (1, 0, [{"basis": "x"}], "malformed code file: not a bitstring literal: "
+     "'x'"),
+    (1, 0, [{"basis": ""}], "malformed code file: not a bitstring literal: "
+     "''"),
+    (1, 0, [{"basis": "(01)"}], "malformed code file: basis label '(01)' has "
+     "wrong length"),
     (1, 0, [{"basis": "(0)", "re": True}], "malformed code file: re must "
      "be a number, not True"),
     (1, 0, [{"basis": "(0)", "im": True}], "malformed code file: im must "

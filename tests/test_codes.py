@@ -188,6 +188,10 @@ def test_a_code_file_is_read_as_written(tmp_path):
     # from_text would fail on a number or null with an AttributeError
     ("basis", 5, "basis must be a string, not 5"),
     ("basis", None, "basis must be a string, not None"),
+    # a label that is no bitstring, or names another number of qubits
+    ("basis", "x", "not a bitstring literal: 'x'"),
+    ("basis", "", "not a bitstring literal: ''"),
+    ("basis", "(01)", "basis label '(01)' has wrong length"),
     # a bool is an int to Python, and would read as the amplitude 1
     ("re", True, "re must be a number, not True"),
     ("im", True, "im must be a number, not True"),

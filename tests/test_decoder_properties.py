@@ -1,5 +1,5 @@
 """Property tests of the syndrome-coordinate decoder and its stacked
-complement verification against a dense oracle, and of the array
+outcome verification against a dense oracle, and of the array
 measurement walk against a scalar one.
 
 The oracle rebuilds every syndrome subspace from its definition,
@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from qeclab import (ErrorPattern, apply_channel, apply_pattern,
                     build_syndrome_table, encode, fidelity_against, load_code,
                     measure_exhaustive, measure_hierarchical, random_channel,
-                    schmidt_diagnostics, syndrome_distribution)
+                    recover, schmidt_diagnostics, syndrome_distribution)
 from qeclab.decoder import (sample_walk, sample_walks, stack_coordinates,
-                            verify_complement)
+                            verify_outcomes)
 from qeclab.statespace import TOL_ZERO, PureState
 
 from walk_trees import Stream, left_to_right, walk_tree
@@ -203,27 +203,60 @@ def complement_stacks(draw):
     return table, states, references
 
 
+def oracle_outcome(table, P, state, i):
+    """The state a decode leaves when its walk ends in subspace i
+    (len(table): the complement), from the dense projectors P: the
+    renormalized projection, recovered by subspace i's pattern."""
+    M = state.matrix()
+    complement = i == len(table)
+    part = M - sum(proj @ M for proj in P) if complement else P[i] @ M
+    collapsed = PureState(state.layout, part / np.linalg.norm(part))
+    return collapsed if complement else recover(
+        collapsed, ErrorPattern.from_key(table.keys[i], table.code.n))
+
+
+def check_outcomes(table, states, references, index):
+    """verify_outcomes on a stack whose decodes ended in subspaces index:
+    within 1e-12 of fidelity_against and schmidt_diagnostics of each
+    oracle state, and every row's bytes equal to its one-row call's."""
+    P = projectors(table)
+    M = np.stack([state.matrix() for state in states])
+    refs = np.stack([ref.amps.ravel() for ref in references])
+    coeff, p, _ = stack_coordinates(table, M)
+    fidelity, top = verify_outcomes(table, index, refs, M, coeff, p)
+    for j, (state, ref) in enumerate(zip(states, references)):
+        expected = oracle_outcome(table, P, state, index[j])
+        assert abs(fidelity[j] - fidelity_against(expected, ref)) <= 1e-12
+        assert abs(top[j] - schmidt_diagnostics(expected)[0]) <= 1e-12
+        # a row verified alone gives the same bytes as within the stack
+        alone = verify_outcomes(table, index[j:j + 1], refs[j:j + 1],
+                                M[j:j + 1], coeff[j:j + 1], p[j:j + 1])
+        for got, single in zip((fidelity, top), alone):
+            assert got[j].tobytes() == single[0].tobytes()
+
+
 @SETTINGS
 @given(complement_stacks())
 def test_stacked_complement_verification_matches_the_oracle(stack):
     table, states, references = stack
-    P = projectors(table)
     M = np.stack([state.matrix() for state in states])
-    refs = np.stack([ref.amps.ravel() for ref in references])
-    coeff, _, p_none = stack_coordinates(table, M)
+    _, _, p_none = stack_coordinates(table, M)
     assert np.all(p_none > 1e-6)  # every state has a complement to verify
-    rest, fidelity, top = verify_complement(table, M, coeff, refs)
-    for j, (state, ref) in enumerate(zip(states, references)):
-        expected = M[j] - sum(proj @ M[j] for proj in P)
-        expected = PureState(state.layout,
-                             expected / np.linalg.norm(expected))
-        assert abs(fidelity[j] - fidelity_against(expected, ref)) <= 1e-12
-        assert abs(top[j] - schmidt_diagnostics(expected)[0]) <= 1e-12
-        # a row verified alone gives the same bytes as within the stack
-        alone = verify_complement(table, M[j:j + 1], coeff[j:j + 1],
-                                  refs[j:j + 1])
-        for got, single in zip((rest, fidelity, top), alone):
-            assert got[j].tobytes() == single[0].tobytes()
+    check_outcomes(table, states, references,
+                   np.full(len(states), len(table)))
+
+
+@SETTINGS
+@given(complement_stacks(), st.data())
+def test_a_mixed_stack_of_outcomes_matches_the_oracle(stack, data):
+    # each decode ends in the complement or in a subspace holding at least
+    # 1e-3 of its mass, in any order down the stack
+    table, states, references = stack
+    M = np.stack([state.matrix() for state in states])
+    _, p, _ = stack_coordinates(table, M)
+    index = np.array([data.draw(st.sampled_from(
+        np.flatnonzero(row > 1e-3).tolist() + [len(table)])) for row in p])
+    check_outcomes(table, states, references, index)
 
 
 def scalar_walk(table, p, p_none, deviate, dyadic):

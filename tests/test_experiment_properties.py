@@ -3,7 +3,9 @@
 The reference runs each trial alone through the public building blocks --
 trial_generator, random_channel, encode, apply_channel and correct -- in the
 reproducibility contract's draw order: activation (redrawn while it exceeds
-the cap), channel parameters, logical state, measurements.
+the cap), channel parameters, logical state, measurements. correct checks
+each decode on the recovered joint state, with fidelity_against and
+schmidt_diagnostics, and shares no verification code with the engine.
 """
 
 import numpy as np
