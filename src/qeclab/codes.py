@@ -453,42 +453,40 @@ def json_value(value, what, kind):
 
 
 def code_from_dict(data):
+    """The QuantumCode a parsed code file describes; ValueError, prefixed
+    "malformed code file:", for any reason it describes none."""
     try:
-        name = json_value(data["name"], "name", "a string")
-        n, l, t = (json_value(data[field], field, "an integer")
-                   for field in ("n", "l", "t"))
-        raw_vectors = data["vectors"]
-    except (KeyError, TypeError) as exc:
+        return _code_from_dict(data)
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise ValueError("malformed code file: %s" % exc)
+
+
+def _code_from_dict(data):
+    name = json_value(data["name"], "name", "a string")
+    n, l, t = (json_value(data[field], field, "an integer")
+               for field in ("n", "l", "t"))
+    raw_vectors = data["vectors"]
     # compared before any shift: 1 << n is 2^n bits of memory
     if not 0 <= n < DIM_CAP.bit_length():
-        raise ValueError("malformed code file: %d qubits" % n)
+        raise ValueError("%d qubits" % n)
     if l < 0:
-        raise ValueError("malformed code file: l = %d is negative" % l)
+        raise ValueError("l = %d is negative" % l)
     vectors = []
-    try:
-        for entries in raw_vectors:
-            vec = np.zeros(1 << n, dtype=np.complex128)
-            seen = set()
-            for entry in entries:
-                label = json_value(entry["basis"], "basis", "a string")
-                try:
-                    v = BitString.from_text(label)
-                except ValueError as exc:
-                    raise ValueError("malformed code file: %s" % exc)
-                if len(v) != n:
-                    raise ValueError("malformed code file: basis label %r "
-                                     "has wrong length" % label)
-                if v in seen:
-                    raise ValueError("malformed code file: basis label %r "
-                                     "repeats" % v)
-                seen.add(v)
-                vec[v.to_index()] = (
-                    json_value(entry.get("re", 0.0), "re", "a number")
-                    + 1j * json_value(entry.get("im", 0.0), "im", "a number"))
-            vectors.append(PureState.from_amplitudes(n, vec))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError("malformed code file: %s" % exc)
+    for entries in raw_vectors:
+        vec = np.zeros(1 << n, dtype=np.complex128)
+        seen = set()
+        for entry in entries:
+            label = json_value(entry["basis"], "basis", "a string")
+            v = BitString.from_text(label)
+            if len(v) != n:
+                raise ValueError("basis label %r has wrong length" % label)
+            if v in seen:
+                raise ValueError("basis label %r repeats" % v)
+            seen.add(v)
+            vec[v.to_index()] = (
+                json_value(entry.get("re", 0.0), "re", "a number")
+                + 1j * json_value(entry.get("im", 0.0), "im", "a number"))
+        vectors.append(PureState.from_amplitudes(n, vec))
     return QuantumCode(name, n, l, t, vectors)
 
 

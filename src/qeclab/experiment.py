@@ -14,19 +14,14 @@ byte-identical CSV.
 Trials run in blocks whose stacked states hold at most BLOCK_AMPLITUDES
 joint amplitudes, each block in three phases:
 
-1. draw -- every trial's first activation draw comes from one numpy pass
-   over the substreams of a chunk of blocks (rng.philox_words), which is
-   pinned to numpy's Philox bit for bit. A trial whose first draw exceeds
-   --max-active resumes its stream on the context's one generator just
-   after that draw, and redraws there until the cap holds. Then, block by
-   block, the generator is resumed in each trial's substream at the count of
-   words its activation draws took, k * (1 + redraws) for k eligible qubits,
-   and the trial makes its other draws before the next trial's:
-   one standard-normal draw holding the channel parameters and the logical
-   state, into a row of the block's preallocated array, then uniform
-   deviates for the measurement walk, as many as the walk can take (one per
-   syndrome subspace). A clean trial (no activated qubit) skips the
-   deviates, which end its stream;
+1. draw -- trial by trial, the context's one generator is re-keyed at the
+   start of the trial's substream, and the trial draws its whole stream in
+   order before the next trial's: its activation flags, drawn again until
+   at most --max-active are set; one standard-normal draw holding the
+   channel parameters and the logical state, into a row of the block's
+   preallocated array; then uniform deviates for the measurement walk, as
+   many as the walk can take (one per syndrome subspace). A clean trial (no
+   activated qubit) skips the deviates, which end its stream;
 2. propagate -- trials that activated the same qubits form a group: the
    group's logical states are normalized and encoded as one stack, its
    random channels are orthonormalized as one stack, each activated
@@ -39,9 +34,9 @@ joint amplitudes, each block in three phases:
    sums, taken as masked cumulative sums, so no interpreter's float sum()
    enters them. A clean trial walks on the largest deviate below 1, which
    keeps its result exactly when every step is certain
-   (_ExperimentContext.walk); any other clean trial resumes its stream
-   after its activation draw as above, draws its normals again and then
-   its deviates, and walks again.
+   (_ExperimentContext.walk); any other clean trial replays its stream
+   from the start as in phase 1, its deviates included this time, and
+   walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
@@ -71,7 +66,7 @@ from .channels import (entangle_stack, gaussian_blocks, load_channel,
 from .codes import encode_stack, load_code
 from .decoder import (DYADIC, build_syndrome_table, sample_walks,
                       stack_coordinates, verify_outcomes)
-from .rng import TrialStreams, doubles, philox_words
+from .rng import TrialStreams
 from .statespace import DIM_CAP, TOL_NORM, row_norms
 
 #: a trial counts as an exact success iff fidelity >= this AND disentangled
@@ -288,30 +283,6 @@ class _ExperimentContext:
                                 else 0)
         self.streams = TrialStreams()
 
-    def activations(self, start, stop):
-        """The accepted activation draws of trials [start, stop): (hits, a
-        (stop - start, len(eligible)) bool array; redraws, how many draws
-        past the first --max-active forced on each trial).
-
-        Every trial's first draw comes from one numpy pass over the
-        substreams (rng.philox_words). A trial whose first draw breaks
-        --max-active resumes its stream on the shared generator just after
-        that draw, and redraws there until the cap holds.
-        """
-        cfg = self.config
-        k = len(self.eligible)
-        hits = doubles(philox_words(
-            cfg.seed, np.arange(start, stop, dtype=np.uint64), k)) < cfg.p
-        redraws = np.zeros(stop - start, dtype=np.intp)
-        if cfg.max_active is not None:
-            for j in np.flatnonzero(hits.sum(axis=1)
-                                    > cfg.max_active).tolist():
-                rng = self.streams.resume(cfg.seed, start + j, k)
-                while hits[j].sum() > cfg.max_active:
-                    hits[j] = rng.random(k) < cfg.p
-                    redraws[j] += 1
-        return hits, redraws
-
     def propagate(self, activated, normals):
         """Phase 2 of a group of trials that all activated `activated`, whose
         standard normals are `normals`: (encoded reference blocks (g, 2^n),
@@ -342,12 +313,12 @@ class _ExperimentContext:
         M = amps.reshape(g, 1 << self.code.n, -1)
         return (refs, M) + stack_coordinates(self.table, M)
 
-    def walk(self, P, p_none, U, clean, resume):
+    def walk(self, P, p_none, U, clean, draw):
         """Phase 3's measurement walks of a block's trials: (index,
         measurements, forced) arrays, as decoder.sample_walks gives them.
         Rows `clean` of U hold CERTAIN_DEVIATE in place of the deviates
-        their clean trials skipped drawing, and resume(j) gives the shared
-        generator at row j's deviates.
+        their clean trials skipped drawing, and draw(j, True) draws row j's
+        stream again from its start, its deviates into U[j].
 
         A walk whose every step has conditional probability exactly 1.0
         takes outcome 1 at every step whatever its deviates: it ends in
@@ -355,66 +326,73 @@ class _ExperimentContext:
         exactly when outcome 1 is certain, so a clean walk on it ends in
         subspace 0 with nothing forced exactly when every step was certain,
         and then any deviates give its result. Any other clean trial
-        resumes its stream, draws its deviates and walks again.
+        replays its stream, deviates included, and walks again.
         """
         index, measurements, forced = sample_walks(self.table, P, p_none, U,
                                                    self.dyadic)
         redo = clean[(index[clean] != 0) | (forced[clean] != 0)]
         if len(redo):
             for j in redo.tolist():
-                resume(j).random(out=U[j])
+                draw(j, True)
             index[redo], measurements[redo], forced[redo] = sample_walks(
                 self.table, P[redo], p_none[redo], U[redo], self.dyadic)
         return index, measurements, forced
 
-    def run_block(self, start, hits, redraws):
-        """Records of trials start, start + 1, ... whose accepted activation
-        draws are (hits, redraws), as activations gives them, and the
-        (measurements, forced outcomes) of their walks as a (2, len(hits))
+    def run_block(self, start, stop):
+        """Records of trials [start, stop), and the (measurements, forced
+        outcomes, activation redraws) of each as a (3, stop - start)
         array."""
         cfg = self.config
-        b, k = hits.shape
+        seed, rate, k = cfg.seed, cfg.p, len(self.eligible)
+        cap = k if cfg.max_active is None else min(cfg.max_active, k)
+        channel, logical = self.channel_normals, self.logical_normals
+        resume = self.streams.resume
+        b = stop - start
+        F = np.empty((b, k))
+        Z = np.empty((b, channel * cap + logical))
+        U = np.full((b, len(self.table)), CERTAIN_DEVIATE)
+        redraws = np.zeros(b, dtype=np.intp)
+
+        def draw(j, deviates):
+            """Trial start + j's stream from its start: its activation flags
+            into F[j], drawn again until at most cap fall below the rate;
+            its standard normals (its random channels' parameters, then its
+            logical state) into Z[j]; then, if it activated a qubit or
+            `deviates` is set, its walk deviates into U[j]."""
+            rng = resume(seed, start + j)
+            extra, active = -1, cap + 1
+            while active > cap:
+                active = len([u for u in rng.random(out=F[j]).tolist()
+                              if u < rate])
+                extra += 1
+            if extra:
+                redraws[j] = extra
+            rng.standard_normal(out=Z[j, :channel * active + logical])
+            if active or deviates:
+                rng.random(out=U[j])
+
+        for j in range(b):
+            draw(j, False)
         # trials that activated the same qubits share a layout, found from
         # their activation masks packed into integers
-        masks, layout = np.unique(hits @ (1 << np.arange(k)),
+        masks, layout = np.unique((F < rate) @ (1 << np.arange(k)),
                                   return_inverse=True)
         shapes = [tuple(q for j, q in enumerate(self.eligible)
                         if mask >> j & 1) for mask in masks.tolist()]
-        # a trial's standard normals: its random channels' parameters, then
-        # its logical state
-        counts = [self.channel_normals * len(a) + self.logical_normals
-                  for a in shapes]
-        U = np.full((b, len(self.table)), CERTAIN_DEVIATE)
-        Z = np.empty((b, max(counts)))
-        layout = layout.tolist()
-        ends = (k * (1 + redraws)).tolist()
-
-        def resume(j):
-            """The shared generator in trial start + j's substream, resumed
-            just after its accepted activation draw and then past the
-            standard normals it draws into Z[j]."""
-            rng = self.streams.resume(cfg.seed, start + j, ends[j])
-            rng.standard_normal(out=Z[j, :counts[layout[j]]])
-            return rng
-
-        for j in range(b):
-            rng = resume(j)
-            if shapes[layout[j]]:  # a clean trial's deviates wait for the walk
-                rng.random(out=U[j])
         # each layout's trials in trial order, the layouts in mask order
         groups = np.split(np.argsort(layout, kind="stable"),
                           np.cumsum(np.bincount(layout))[:-1])
         P = np.empty((b, len(self.table)))
         p_none = np.empty(b)
         stacks = []
-        for s in range(len(shapes)):
+        for s, members in enumerate(groups):
             refs, M, coeff, p, rest = self.propagate(
-                shapes[s], Z[groups[s], :counts[s]])
-            P[groups[s]], p_none[groups[s]] = p, rest
-            stacks.append((groups[s], refs, M, coeff, p))
+                shapes[s], Z[members, :channel * len(shapes[s]) + logical])
+            P[members], p_none[members] = p, rest
+            stacks.append((members, refs, M, coeff, p))
         # the clean layout, mask 0, sorts first when there is one
         clean = groups[0] if not shapes[0] else np.empty(0, dtype=np.intp)
-        index, measurements, forced = self.walk(P, p_none, U, clean, resume)
+        index, measurements, forced = self.walk(P, p_none, U, clean, draw)
         fidelity, top = np.empty(b), np.empty(b)
         for members, refs, M, coeff, p in stacks:
             fidelity[members], top[members] = verify_outcomes(
@@ -430,30 +408,20 @@ class _ExperimentContext:
              "syndrome": outcomes[i], "fidelity": f, "disentangled": d,
              "corrected": c}
             for j, (s, i, f, d, c) in enumerate(zip(
-                layout, index.tolist(), fidelity.tolist(),
+                layout.tolist(), index.tolist(), fidelity.tolist(),
                 (top >= 1.0 - TOL_NORM).tolist(),
                 (index < len(self.table)).tolist()))]
-        return records, np.stack([measurements, forced])
+        return records, np.stack([measurements, forced, redraws])
 
     def run_range(self, start, stop):
-        """run_block's records of trials [start, stop), and a (3, stop -
-        start) array of each trial's walk measurements, forced outcomes and
-        activation redraws. Activations are drawn for a chunk of whole
-        blocks at a time, whose first draws compute at most BLOCK_AMPLITUDES
-        Philox words in whole 4-word blocks (or one block of trials), and
-        trials then run one block of at most block_trials at a time."""
-        chunk = self.block_trials * max(1, BLOCK_AMPLITUDES // max(
-            1, 4 * -(-len(self.eligible) // 4) * self.block_trials))
+        """run_block's records of trials [start, stop), and its (3, stop -
+        start) array of their walk measurements, forced outcomes and
+        activation redraws, one block of at most block_trials at a time."""
         records, walks = [], []
-        for c in range(start, stop, chunk):
-            d = min(c + chunk, stop)
-            drawn = self.activations(c, d)
-            for a in range(c, d, self.block_trials):
-                rows = slice(a - c, min(a + self.block_trials, d) - c)
-                hits, redraws = (x[rows] for x in drawn)
-                got = self.run_block(a, hits, redraws)
-                records += got[0]
-                walks.append(np.vstack([got[1], redraws]))
+        for a in range(start, stop, self.block_trials):
+            got = self.run_block(a, min(a + self.block_trials, stop))
+            records += got[0]
+            walks.append(got[1])
         return records, np.concatenate(walks, axis=1)
 
 

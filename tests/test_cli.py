@@ -19,7 +19,7 @@ from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
 from input_files import (decoherence_data, repetition_code_data,
-                         shipped_code_data)
+                         shipped_code_data, spoiled_phase3_data)
 
 
 def run(argv):
@@ -488,7 +488,8 @@ def test_simulate_rejects_bad_parameters():
     (1, 0, ["(0)"], None),                # an entry that is not an object
     (40, 0, [{"basis": "(0)"}], None),    # refused before 2^40 amplitudes
     # not a normalized state
-    (1, 0, [{"basis": "(0)", "re": float("nan")}], None),
+    (1, 0, [{"basis": "(0)", "re": float("nan")}],
+     "malformed code file: state not normalized: |amps|^2 = nan"),
     # a later entry for the same label would silently replace the first
     (1, 0, [{"basis": "(0)", "re": 0.5}, {"basis": "(0)", "re": 1.0}],
      "malformed code file: basis label (0) repeats"),
@@ -497,9 +498,9 @@ def test_simulate_rejects_bad_parameters():
     # squares, and a sum of squares, past the largest float: refused with
     # no overflow warning
     (1, 0, [{"basis": "(0)", "re": 1e308}, {"basis": "(1)", "re": 1e308}],
-     "state not normalized: |amps|^2 = inf"),
+     "malformed code file: state not normalized: |amps|^2 = inf"),
     (1, 0, [{"basis": "(0)", "re": 1.3e154}, {"basis": "(1)", "im": 1.3e154}],
-     "state not normalized: |amps|^2 = inf"),
+     "malformed code file: state not normalized: |amps|^2 = inf"),
     # a label that is no string would end in from_text's AttributeError,
     # and a bool amplitude would read as 1
     (1, 0, [{"basis": 5}], "malformed code file: basis must be a string, "
@@ -529,6 +530,18 @@ def test_a_malformed_code_file_exits_two(tmp_path, command, n, l, entries,
     assert err.startswith("error: ")
     if message is not None:
         assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("data, message", spoiled_phase3_data())
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--p", "0.1"]])
+def test_a_code_file_that_describes_no_code_exits_two(tmp_path, command, data,
+                                                      message):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(command + ["--code", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: malformed code file: %s\n" % message
 
 
 @pytest.mark.parametrize("field, value", [

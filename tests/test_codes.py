@@ -17,7 +17,7 @@ from qeclab import (
     load_code,
     run_checker,
 )
-from input_files import shipped_code_data
+from input_files import shipped_code_data, spoiled_phase3_data
 from repetition import repetition_code
 
 
@@ -215,8 +215,9 @@ def test_a_code_files_name_must_be_a_json_string():
         code_from_dict(payload)
 
 
-def test_code_from_dict_rejects_non_orthonormal_vectors():
-    payload = shipped_code_data("phase3")
-    payload["vectors"][1] = payload["vectors"][0]
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("payload, message", spoiled_phase3_data())
+def test_code_from_dict_refuses_data_that_describe_no_code(payload, message):
+    # QuantumCode's and PureState's refusals carry the file prefix too
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "malformed code file: " + message)):
         code_from_dict(payload)

@@ -12,11 +12,11 @@ from qeclab import ErrorPattern, experiment
 from qeclab.cli import main
 from qeclab.codes import load_code
 from qeclab.decoder import build_syndrome_table
-from qeclab.experiment import (BLOCK_AMPLITUDES, WILSON_Z95,
-                               ExperimentConfig, analytic_success_bound,
+from qeclab.experiment import (BLOCK_AMPLITUDES, CERTAIN_DEVIATE,
+                               WILSON_Z95, ExperimentConfig, analytic_success_bound,
                                records_to_csv, run_experiment,
                                wilson_interval)
-from qeclab.rng import trial_generator
+from qeclab.rng import TrialStreams, trial_generator
 
 from input_files import decoherence_data
 
@@ -150,8 +150,8 @@ def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
     forced = []
     real_block = experiment._ExperimentContext.run_block
 
-    def run_block(self, start, hits, redraws):
-        got = real_block(self, start, hits, redraws)
+    def run_block(self, start, stop):
+        got = real_block(self, start, stop)
         forced.append(int(got[1][1].sum()))
         return got
 
@@ -164,6 +164,34 @@ def test_summary_counts_the_outcomes_the_zero_threshold_forced(monkeypatch):
     assert summary["results"]["forced_outcomes"] == total
 
 
+@pytest.mark.parametrize("kw", [
+    SHOR9, dict(code="perfect5", channel="random:2", p=0.05, seed=7)])
+def test_a_trial_rekeys_its_stream_once_and_again_for_a_redone_walk(
+        monkeypatch, kw):
+    # a trial draws its whole stream from the start in one pass; only a
+    # clean walk that was not certain replays it, for its deviates
+    config = ExperimentConfig(trials=300, **kw)
+    rekeyed, redone = [], []
+    real_resume = TrialStreams.resume
+    real_walk = experiment._ExperimentContext.walk
+
+    def resume(self, seed, trial):
+        rekeyed.append(trial)
+        return real_resume(self, seed, trial)
+
+    def walk(self, P, p_none, U, clean, draw):
+        got = real_walk(self, P, p_none, U, clean, draw)
+        redone.append(int((U[clean] != CERTAIN_DEVIATE).any(axis=1).sum()))
+        return got
+
+    monkeypatch.setattr(TrialStreams, "resume", resume)
+    monkeypatch.setattr(experiment._ExperimentContext, "walk", walk)
+    run_experiment(config)
+    assert len(rekeyed) == config.trials + sum(redone)
+    assert set(rekeyed) == set(range(config.trials))
+    assert sum(redone) > 0 if kw is SHOR9 else sum(redone) == 0
+
+
 def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):
     stacks, blocks = [], []
     real_coordinates = experiment.stack_coordinates
@@ -173,9 +201,9 @@ def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):
         stacks.append(M.size)
         return real_coordinates(table, M)
 
-    def run_block(self, start, hits, redraws):
-        blocks.append(len(hits))
-        return real_block(self, start, hits, redraws)
+    def run_block(self, start, stop):
+        blocks.append(stop - start)
+        return real_block(self, start, stop)
 
     monkeypatch.setattr(experiment, "stack_coordinates", coordinates)
     monkeypatch.setattr(experiment._ExperimentContext, "run_block",

@@ -123,8 +123,8 @@ def _shor9(qubits, max_active, seed, p=0.3):
 @example(_shor9((0, 3, 5, 8), None, -(1 << 64)))
 @example(_shor9(tuple(range(8)), 1, (1 << 65) + 3))
 # at most one of nine qubits activates with probability 10/512: each trial
-# redraws about 50 times, and its word counts 9 (1 + redraws) fall in every
-# residue mod 4
+# redraws about 50 times, and its later draws start at a word count 9 (1 +
+# redraws) in every residue mod 4
 @example(_shor9("all", 1, 5, p=0.5))
 def test_engine_matches_the_per_trial_reference(config):
     records, summary = run_experiment(config)
@@ -154,31 +154,34 @@ def test_a_trial_range_does_not_depend_on_its_block(config, data):
 
 def live_draw(ctx, trial):
     """(its generator, at the walk's deviates; activated qubits; standard
-    normals) of one trial, drawn from a fresh trial_generator in the draw
-    order reference_run keeps."""
+    normals; activation redraws) of one trial, drawn from a fresh
+    trial_generator in the draw order reference_run keeps."""
     config = ctx.config
     rng = trial_generator(config.seed, trial)
+    redraws = -1
     while True:
+        redraws += 1
         activated = tuple(q for q in ctx.eligible if rng.random() < config.p)
         if (config.max_active is None
                 or len(activated) <= config.max_active):
             break
     normals = rng.standard_normal(ctx.channel_normals * len(activated)
                                   + ctx.logical_normals)
-    return rng, activated, normals
+    return rng, activated, normals, redraws
 
 
 def live_walks(ctx, start, stop):
-    """(index, measurements, forced) of trials [start, stop), each walked
-    alone by sample_walk on its own stream."""
+    """(index, measurements, forced, redraws) of trials [start, stop), each
+    walked alone by sample_walk on its own stream."""
     out = []
     for trial in range(start, stop):
-        rng, activated, normals = live_draw(ctx, trial)
+        rng, activated, normals, redraws = live_draw(ctx, trial)
         *_, p, p_none = ctx.propagate(activated, [normals])
         i, trace, forced = sample_walk(ctx.table, p[0], p_none[0], rng,
                                        ctx.dyadic)
-        out.append((len(ctx.table) if i is None else i, len(trace), forced))
-    return np.array(out, dtype=np.intp).reshape(-1, 3).T
+        out.append((len(ctx.table) if i is None else i, len(trace), forced,
+                    redraws))
+    return np.array(out, dtype=np.intp).reshape(-1, 4).T
 
 
 @SETTINGS
@@ -187,9 +190,9 @@ def test_block_walks_match_live_walks(config):
     # clean trials skip drawing their deviates; the block's walks must not
     # show it
     ctx = _ExperimentContext(config)
-    records, walks = ctx.run_block(0, *ctx.activations(0, config.trials))
-    index, measurements, forced = live_walks(ctx, 0, config.trials)
-    assert np.array_equal(walks, np.stack([measurements, forced]))
+    records, walks = ctx.run_block(0, config.trials)
+    index, *live = live_walks(ctx, 0, config.trials)
+    assert np.array_equal(walks, live)
     texts = ctx.table.texts + ("none",)
     assert [r["syndrome"] for r in records] == [texts[i] for i in index]
 
@@ -201,9 +204,8 @@ def test_clean_trials_walk_as_with_their_own_deviates(code, strategy):
                               channel="random:2", max_active=1, trials=60,
                               seed=11, strategy=strategy)
     ctx = _ExperimentContext(config)
-    _, walks = ctx.run_block(0, *ctx.activations(0, config.trials))
-    index, measurements, forced = live_walks(ctx, 0, config.trials)
-    assert np.array_equal(walks, np.stack([measurements, forced]))
+    _, walks = ctx.run_block(0, config.trials)
+    assert np.array_equal(walks, live_walks(ctx, 0, config.trials)[1:])
     # shor9's complement holds rounding dust, so some of its clean walks
     # are not certain and draw their deviates after all: the run above
     # took that path too
@@ -226,15 +228,14 @@ def test_every_walk_deviate_comes_from_its_trials_stream(monkeypatch):
     seen = []
     real_walk = experiment._ExperimentContext.walk
 
-    def walk(self, P, p_none, U, clean, resume):
-        got = real_walk(self, P, p_none, U, clean, resume)
+    def walk(self, P, p_none, U, clean, draw):
+        got = real_walk(self, P, p_none, U, clean, draw)
         seen.append((U.copy(), clean.tolist()))
         return got
 
     monkeypatch.setattr(experiment._ExperimentContext, "walk", walk)
-    hits, redraws = ctx.activations(0, config.trials)
-    assert redraws.any()
-    ctx.run_block(0, hits, redraws)
+    _, walks = ctx.run_block(0, config.trials)
+    assert walks[2].any()
     (U, clean), = seen
     redone = 0
     for trial in range(config.trials):
@@ -259,12 +260,12 @@ def test_csv_matches_a_per_trial_walk_loop(monkeypatch, strategy):
     starts = []
     real_block = experiment._ExperimentContext.run_block
 
-    def run_block(self, start, hits, redraws):
+    def run_block(self, start, stop):
         starts.append(start)
-        return real_block(self, start, hits, redraws)
+        return real_block(self, start, stop)
 
-    def walk(self, P, p_none, U, clean, resume):
-        return live_walks(self, starts[-1], starts[-1] + len(P))
+    def walk(self, P, p_none, U, clean, draw):
+        return live_walks(self, starts[-1], starts[-1] + len(P))[:3]
 
     monkeypatch.setattr(experiment._ExperimentContext, "run_block",
                         run_block)

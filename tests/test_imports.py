@@ -107,9 +107,8 @@ def test_every_private_function_or_class_is_used_in_the_package():
                                   if path.name != "rng.py"],
                          ids=lambda path: path.name)
 def test_only_the_rng_module_touches_a_bit_generator(path):
-    # a trial's place in its stream is the count of words it drew, which
-    # rng.TrialStreams.resume turns into generator state; no other module
-    # reads or sets that state
+    # rng.TrialStreams.resume re-keys the shared generator at the start of
+    # a trial's stream; no other module reads or sets generator state
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
