@@ -43,8 +43,7 @@ for lbl, pr in zip(labels, probs):
     print("  P[%s] = %.3f" % (lbl, pr))
 
 rng = trial_generator(2, 0)
-report = correct(noisy, code, 1, "exhaustive", rng, reference,
-                 pattern_filter="phase-only", table=table)
+report = correct(noisy, table, "exhaustive", rng, reference)
 print("measured syndrome:", report.syndrome)
 print("trace:", report.outcome_trace)
 print("fidelity after recovery: %.12f" % report.fidelity)
@@ -57,8 +56,7 @@ print("syndrome distribution:", np.round(probs, 3))
 outcomes = {}
 for trial in range(2000):
     rng = trial_generator(3, trial)
-    rep = correct(noisy2, code, 1, "exhaustive", rng, reference,
-                  pattern_filter="phase-only", table=table)
+    rep = correct(noisy2, table, "exhaustive", rng, reference)
     key = rep.syndrome.text()
     outcomes.setdefault(key, []).append(rep.fidelity)
 for key in sorted(outcomes):
@@ -72,8 +70,7 @@ partial = apply_channel(reference, 0, make_decoherence(0.6))
 partial = apply_channel(partial, 1, make_decoherence(0.6))
 partial = apply_channel(partial, 2, make_decoherence(0.6))
 rng = trial_generator(4, 0)
-rep = correct(partial, code, 1, "exhaustive", rng, reference,
-              pattern_filter="phase-only", table=table)
+rep = correct(partial, table, "exhaustive", rng, reference)
 top, purity = schmidt_diagnostics(rep.recovered_state)
 print("syndrome %s, fidelity %.4f, top Schmidt coefficient %.4f"
       % (rep.syndrome, rep.fidelity, top))

@@ -73,8 +73,7 @@ print("\n== but the measurement counts differ ==")
 counts = {"exhaustive": [], "hierarchical": []}
 for trial in range(400):
     for strategy in counts:
-        rep = correct(noisy, code, 1, strategy, trial_generator(56, trial),
-                      ref, table=table)
+        rep = correct(noisy, table, strategy, trial_generator(56, trial), ref)
         counts[strategy].append(len(rep.outcome_trace))
         assert rep.fidelity >= 1 - 1e-8
 for strategy, ns in counts.items():
@@ -82,8 +81,7 @@ for strategy, ns in counts.items():
           % (strategy, np.mean(ns), min(ns), max(ns), len(table)))
 
 print("\n== a worked dyadic trace ==")
-rep = correct(noisy, code, 1, "hierarchical", trial_generator(56, 7), ref,
-              table=table)
+rep = correct(noisy, table, "hierarchical", trial_generator(56, 7), ref)
 for label, outcome in rep.outcome_trace:
     print("  measure %-32s -> %d" % (label, outcome))
 print("syndrome %s, fidelity %.12f" % (rep.syndrome, rep.fidelity))
@@ -94,7 +92,6 @@ ptable = build_syndrome_table(phase3, 1, pattern_filter="phase-only")
 print("phase3 phase-only table complete:", ptable.is_complete)
 ref3 = encode(phase3, np.array([0.6, 0.8]))
 noisy3 = apply_channel(ref3, 1, make_decoherence(0.0))
-rep3 = correct(noisy3, phase3, 1, "hierarchical", trial_generator(57, 0),
-               ref3, pattern_filter="phase-only", table=ptable)
+rep3 = correct(noisy3, ptable, "hierarchical", trial_generator(57, 0), ref3)
 print("four subspaces resolved in %d measurements: %s"
       % (len(rep3.outcome_trace), rep3.outcome_trace))

@@ -193,7 +193,7 @@ def apply_channel(state, qubit, ch):
     layout = state.layout.with_env(qubit, ch.env_dim)
     out = entangle_stack(state.amps[np.newaxis], qubit,
                          ch.block()[np.newaxis])
-    return PureState._trusted(layout, out[0], normalized=state.is_normalized)
+    return PureState._trusted(layout, out[0])
 
 
 def residue_oracle(channels, alpha, beta):
@@ -234,7 +234,7 @@ def residue_oracle(channels, alpha, beta):
         acc += sign * term.reshape(acc.shape)
     acc /= float(1 << m)
     layout = FactorLayout.environment_only(dims)
-    return PureState._trusted(layout, acc, normalized=False)
+    return PureState._trusted(layout, acc)
 
 
 # -- files ---------------------------------------------------------------------

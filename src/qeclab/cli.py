@@ -214,8 +214,7 @@ def cmd_demo3(args):
     out.append(DEMO3_OUTCOME_TABLE)
     out.append("")
     rng = trial_generator(args.seed, 0)
-    report = correct(state, code, 1, "hierarchical", rng, reference,
-                     pattern_filter="phase-only", table=table)
+    report = correct(state, table, "hierarchical", rng, reference)
     names = ("L1", "L2")
     for i, (label, outcome) in enumerate(report.outcome_trace):
         out.append("%s measures %s -> outcome %d"

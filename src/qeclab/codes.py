@@ -434,8 +434,7 @@ def encode(code, logical):
         raise ValueError("logical state must be a system-only state on "
                          "%d qubit(s)" % code.l)
     out = encode_stack(code, logical.amps.reshape(1, -1))[0]
-    return PureState._trusted(FactorLayout(code.n), out,
-                              normalized=logical.is_normalized)
+    return PureState._trusted(FactorLayout(code.n), out)
 
 
 # -- code files and catalogue -------------------------------------------------

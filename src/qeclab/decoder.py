@@ -34,7 +34,8 @@ past the walk's last measurement go unread. If every outcome is 0 the state
 collapses to the orthogonal complement of all table subspaces and no
 correction is attempted.
 
-correct decodes one state as the paper states it: measure, recover, then
+A SyndromeTable is every decode's one handle on its code. correct decodes
+one state against it as the paper states it: measure, recover, then
 fidelity_against and schmidt_diagnostics on the recovered joint state.
 verify_outcomes checks a stack of decodes at once in syndrome coordinates,
 where recovery is an isometry and each identified outcome's check needs
@@ -59,7 +60,7 @@ PATTERN_FILTERS = tuple(_FILTER_CONDITIONS)
 
 
 class SyndromeTable:
-    """Ordered syndrome subspaces H_ab for one (code, t, pattern filter).
+    """Ordered syndrome subspaces H_ab of a code, from build_syndrome_table.
 
     keys[i] is the canonical key (ErrorPattern.sort_key) of the pattern
     naming subspace i, texts[i] its text and labels[i] its measurement
@@ -71,18 +72,16 @@ class SyndromeTable:
     (1 for s <= 2). Immutable and shareable across decode runs.
     """
 
-    __slots__ = ("code", "t", "pattern_filter", "keys", "texts", "labels",
-                 "is_complete", "rows", "conj_rows", "halves")
+    __slots__ = ("code", "keys", "texts", "labels", "is_complete", "rows",
+                 "conj_rows", "halves")
 
-    def __init__(self, code, t, pattern_filter, keys, rows):
+    def __init__(self, code, keys, rows):
         conj_rows = np.ascontiguousarray(rows.conj())
         halves = 1 << (np.frexp(np.maximum(np.arange(len(keys) + 1) - 1,
                                            1))[1] - 1)
         for array in (keys, rows, conj_rows, halves):
             array.setflags(write=False)
         object.__setattr__(self, "code", code)
-        object.__setattr__(self, "t", int(t))
-        object.__setattr__(self, "pattern_filter", pattern_filter)
         object.__setattr__(self, "keys", keys)
         texts = tuple(pattern_texts(keys, code.n))
         object.__setattr__(self, "texts", texts)
@@ -118,7 +117,7 @@ def build_syndrome_table(code, t, pattern_filter="all"):
         code, _FILTER_CONDITIONS[pattern_filter], t)
     if not report.passed:
         raise ConditionError(report)
-    return SyndromeTable(code, t, pattern_filter, keys, rows)
+    return SyndromeTable(code, keys, rows)
 
 
 # -- projective measurement ----------------------------------------------------
@@ -445,33 +444,21 @@ def verify_outcomes(table, index, references, M, coeff, p):
     return fidelity, top
 
 
-def correct(state, code, t, strategy, randomness, reference,
-            pattern_filter="all", table=None):
+def correct(state, table, strategy, randomness, reference):
     """Measure, recover, verify: the full decode pass, the paper's procedure
     on one state.
 
-    The walk collapses the state; recover undoes the pattern of the
-    subspace that answered (a state left in the complement is kept as it
-    is), and the result is checked against the reference with
-    fidelity_against and schmidt_diagnostics on the whole joint state.
+    The walk collapses the state onto a subspace of table; recover undoes
+    the pattern of the subspace that answered (a state left in the
+    complement is kept as it is), and the result is checked against the
+    reference with fidelity_against and schmidt_diagnostics on the whole
+    joint state.
 
     strategy is "exhaustive" or "hierarchical"; randomness gives the walk
     one uniform deviate per table subspace in one random(size) call;
     reference is the system-only state the fidelity is measured against
-    (normally the uncorrupted encoded block). A prebuilt SyndromeTable for
-    (code, t, pattern_filter) can be passed to skip rebuilding in tight
-    loops; a table built for another code, t or pattern filter is refused.
+    (normally the uncorrupted encoded block).
     """
-    if table is None:
-        table = build_syndrome_table(code, t, pattern_filter)
-    elif (table.code is not code
-          and not np.array_equal(table.code.matrix(), code.matrix())):
-        raise ValueError("table was built for another code (%r)"
-                         % table.code.name)
-    elif (table.t, table.pattern_filter) != (t, pattern_filter):
-        raise ValueError("table was built for t = %d and pattern filter %r, "
-                         "not t = %d and %r" % (table.t, table.pattern_filter,
-                                                t, pattern_filter))
     dyadic = _dyadic(strategy)
     if not reference.layout.is_system_only():
         raise ValueError("reference must be a system-only state")

@@ -97,8 +97,7 @@ def apply_amplitude(alpha, state):
     if a == 0:
         return state
     perm = np.arange(state.layout.system_dim) ^ a
-    return PureState._trusted(state.layout, state.amps[perm],
-                              normalized=state.is_normalized)
+    return PureState._trusted(state.layout, state.amps[perm])
 
 
 def apply_phase(beta, state):
@@ -111,8 +110,7 @@ def apply_phase(beta, state):
         return state
     signs = parity_signs(np.arange(state.layout.system_dim), b)
     signs = signs.reshape((-1,) + (1,) * len(state.layout.env_dims))
-    return PureState._trusted(state.layout, state.amps * signs,
-                              normalized=state.is_normalized)
+    return PureState._trusted(state.layout, state.amps * signs)
 
 
 def apply_pattern(pattern, state):

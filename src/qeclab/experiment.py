@@ -62,10 +62,11 @@ import signal
 import numpy as np
 
 from .channels import (entangle_stack, gaussian_blocks, load_channel,
-                       make_decoherence, orthonormalize_blocks, validate)
-from .codes import encode_stack, load_code
-from .decoder import (DYADIC, build_syndrome_table, sample_walks,
-                      stack_coordinates, verify_outcomes)
+                       make_decoherence, orthonormalize_blocks,
+                       residue_oracle, validate)
+from .codes import condition_patterns, encode_stack, load_code
+from .decoder import (_FILTER_CONDITIONS, DYADIC, build_syndrome_table,
+                      sample_walks, stack_coordinates, verify_outcomes)
 from .rng import TrialStreams
 from .statespace import DIM_CAP, TOL_NORM, row_norms
 
@@ -226,6 +227,19 @@ def parse_channel_spec(spec):
     return channel.env_dim, channel
 
 
+def _filter_covers(pattern_filter, channel):
+    """Whether the filter holds every pattern the channel makes: only "all"
+    covers a random channel (None). A residue on several qubits is the
+    tensor product of one-qubit residues, so a fixed channel is covered when
+    every one-qubit pattern outside the filter has a zero residue."""
+    if channel is None:
+        return pattern_filter == "all"
+    inside = condition_patterns(1, 1, _FILTER_CONDITIONS[pattern_filter])
+    return all(residue_oracle([(0, channel)], e.alpha, e.beta).norm()
+               <= TOL_NORM for e in condition_patterns(1, 1, "general")
+               if e not in inside)
+
+
 class _ExperimentContext:
     """Everything the trials of one experiment share, built and checked
     once: forked workers inherit it instead of rebuilding it."""
@@ -273,6 +287,10 @@ class _ExperimentContext:
                                               config.pattern_filter)
         except ValueError as exc:
             raise BadInput(str(exc))
+        # the weight the analytic bound counts: a filter that misses some
+        # of the channel's patterns guarantees only the clean trials
+        self.bound_t = (self.t if _filter_covers(config.pattern_filter,
+                                                 channel) else 0)
         self.dyadic = DYADIC[config.strategy]
         self.block_trials = max(1, BLOCK_AMPLITUDES // self.worst_dim)
         # standard normals a trial draws per activated qubit (a random
@@ -435,7 +453,8 @@ def _at_most(k, p, m):
 def analytic_success_bound(k, t, p, max_active=None):
     """Guaranteed exact-success probability: at most t of the k eligible
     qubits activate. With an activation cap the probability is conditional
-    on the cap."""
+    on the cap. It needs the table to hold every pattern the channel makes
+    on at most t qubits; a run that misses some guarantees only t = 0."""
     if max_active is None:
         return _at_most(k, p, t)
     denom = _at_most(k, p, max_active)
@@ -608,7 +627,7 @@ def _summary(ctx, records, walks):
     successes = sum(1 for r in records
                     if r["fidelity"] >= SUCCESS_FIDELITY and r["disentangled"])
     corrected = sum(1 for r in records if r["corrected"])
-    bound = analytic_success_bound(len(ctx.eligible), ctx.t, config.p,
+    bound = analytic_success_bound(len(ctx.eligible), ctx.bound_t, config.p,
                                    config.max_active)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     measurements, forced, redraws = walks

@@ -136,13 +136,12 @@ def row_norms(rows):
 class PureState:
     """A complex amplitude vector over a FactorLayout.
 
-    States are immutable; every operation returns a fresh state. A state is
-    either normalized (squared norm 1 within 1e-9, verified on construction)
-    or explicitly flagged as an unnormalized intermediate via
-    ``normalized=False``.
+    States are immutable; every operation returns a fresh state. The
+    constructor verifies a squared norm of 1 within 1e-9, unless
+    ``normalized=False`` admits an unnormalized intermediate.
     """
 
-    __slots__ = ("layout", "amps", "is_normalized")
+    __slots__ = ("layout", "amps")
 
     def __init__(self, layout, amplitudes, normalized=True):
         # copy unconditionally so freezing never aliases the caller's buffer
@@ -159,21 +158,19 @@ class PureState:
         arr.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amps", arr)
-        object.__setattr__(self, "is_normalized", bool(normalized))
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
 
     @classmethod
-    def _trusted(cls, layout, arr, normalized=True):
-        """Internal fast path: wrap an array known to satisfy the invariants
-        (e.g. the output of a norm-preserving operation) without re-checking."""
+    def _trusted(cls, layout, arr):
+        """Internal fast path: wrap an array of the layout's size (e.g. the
+        output of a norm-preserving operation) without checking its norm."""
         self = object.__new__(cls)
         arr = np.ascontiguousarray(arr, dtype=np.complex128).reshape(layout.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amps", arr)
-        object.__setattr__(self, "is_normalized", bool(normalized))
         return self
 
     # -- constructors ------------------------------------------------------

@@ -95,8 +95,8 @@ def test_criterion_05_exact_recovery_at_desk_scale(acceptance):
             qubit = int(rng.integers(code.n))
             channel = random_channel(4, rng)
             ref = encode(code, random_logical(rng))
-            report = correct(apply_channel(ref, qubit, channel), code, 1,
-                             "hierarchical", rng, ref, table=table)
+            report = correct(apply_channel(ref, qubit, channel), table,
+                             "hierarchical", rng, ref)
             assert report.fidelity >= 1 - 1e-8
             assert report.disentangled
 
@@ -110,9 +110,8 @@ def test_criterion_05_exact_recovery_at_desk_scale(acceptance):
                 channel = make_decoherence(overlap)
                 for _ in range(20):
                     ref = encode(code, random_logical(rng))
-                    report = correct(apply_channel(ref, qubit, channel), code,
-                                     1, "exhaustive", rng, ref,
-                                     pattern_filter="phase-only", table=table)
+                    report = correct(apply_channel(ref, qubit, channel),
+                                     table, "exhaustive", rng, ref)
                     assert report.fidelity >= 1 - 1e-8
                     assert report.disentangled
 

@@ -5,12 +5,9 @@ from qeclab import (
     BitString,
     ConditionError,
     ErrorPattern,
-    PureState,
-    QuantumCode,
     apply_channel,
     apply_pattern,
     build_syndrome_table,
-    code_from_dict,
     condition_patterns,
     correct,
     encode,
@@ -27,7 +24,6 @@ from qeclab import (
 from qeclab import decoder
 from qeclab.decoder import sample_walk
 
-from input_files import shipped_code_data
 from walk_trees import Stream, check_strategies
 
 
@@ -226,8 +222,7 @@ def test_correct_restores_single_decoherence_exactly():
     table = build_syndrome_table(code, 1, "phase-only")
     st = decohered(ref, (1,))
     for strategy in ("exhaustive", "hierarchical"):
-        rep = correct(st, code, 1, strategy, trial_generator(7, 0), ref,
-                      pattern_filter="phase-only", table=table)
+        rep = correct(st, table, strategy, trial_generator(7, 0), ref)
         assert rep.fidelity >= 1 - 1e-8
         assert rep.disentangled
         assert rep.corrected
@@ -243,8 +238,7 @@ def test_correct_conditioned_fidelities_for_two_decohered_qubits():
     st = decohered(ref, (0, 1))
     fidelities = {}
     for i in range(4):
-        rep = correct(st, code, 1, "exhaustive", Stream([1.0] * i + [0.0]), ref,
-                      pattern_filter="phase-only", table=table)
+        rep = correct(st, table, "exhaustive", Stream([1.0] * i + [0.0]), ref)
         assert rep.corrected
         assert rep.disentangled
         fidelities[rep.syndrome.text()] = rep.fidelity
@@ -258,8 +252,7 @@ def test_correct_leaves_residual_entanglement_for_three_decohered_qubits():
     code, ref = encoded("phase3")
     table = build_syndrome_table(code, 1, "phase-only")
     st = decohered(ref, (0, 1, 2))
-    rep = correct(st, code, 1, "exhaustive", Stream([0.0]), ref,
-                  pattern_filter="phase-only", table=table)
+    rep = correct(st, table, "exhaustive", Stream([0.0]), ref)
     assert rep.syndrome.is_zero()
     assert rep.fidelity == pytest.approx(0.6 ** 4 + 0.8 ** 4)
     top, _ = schmidt_diagnostics(rep.recovered_state)
@@ -271,7 +264,7 @@ def test_correct_flags_aliased_double_error_as_corrected_but_wrong():
     code, ref = encoded("shor9")
     table = build_syndrome_table(code, 1)
     st = apply_pattern(ErrorPattern.from_text("A(110000000)P(000000000)"), ref)
-    rep = correct(st, code, 1, "exhaustive", Stream([0.0] * 30), ref, table=table)
+    rep = correct(st, table, "exhaustive", Stream([0.0] * 30), ref)
     assert rep.syndrome.text() == "A(000000100)P(000000000)"
     assert rep.corrected  # a syndrome was found ...
     assert rep.disentangled
@@ -283,14 +276,14 @@ def test_correct_reports_failure_when_no_subspace_matches():
     table = build_syndrome_table(code, 1)
     st = apply_pattern(ErrorPattern.from_text("A(000000000)P(110000000)"), ref)
     for strategy in ("exhaustive", "hierarchical"):
-        rep = correct(st, code, 1, strategy, Stream([]), ref, table=table)
+        rep = correct(st, table, strategy, Stream([]), ref)
         assert rep.syndrome is None
         assert not rep.corrected
         assert rep.fidelity == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(rep.recovered_state.amps, st.amps, atol=1e-12)
     # the exhaustive walk visits all 28 subspaces, the dyadic walk 5 blocks
-    rep_e = correct(st, code, 1, "exhaustive", Stream([]), ref, table=table)
-    rep_h = correct(st, code, 1, "hierarchical", Stream([]), ref, table=table)
+    rep_e = correct(st, table, "exhaustive", Stream([]), ref)
+    rep_h = correct(st, table, "hierarchical", Stream([]), ref)
     assert len(rep_e.outcome_trace) == 28
     assert len(rep_h.outcome_trace) == 5
 
@@ -303,7 +296,7 @@ def test_correct_handles_random_general_dissipation_on_shor9():
     ref = encode(code, vec)
     table = build_syndrome_table(code, 1)
     st = apply_channel(ref, 5, random_channel(4, rng))
-    rep = correct(st, code, 1, "hierarchical", rng, ref, table=table)
+    rep = correct(st, table, "hierarchical", rng, ref)
     assert rep.fidelity >= 1 - 1e-8
     assert rep.disentangled
     assert rep.corrected
@@ -311,44 +304,19 @@ def test_correct_handles_random_general_dissipation_on_shor9():
     assert rep.syndrome.beta.support() <= {5}
 
 
-def test_correct_builds_its_own_table_when_not_given_one():
-    code, ref = encoded("phase3")
-    st = decohered(ref, (2,))
-    rep = correct(st, code, 1, "exhaustive", trial_generator(1, 2), ref,
-                  pattern_filter="phase-only")
-    assert rep.fidelity >= 1 - 1e-8
-
-
-def test_correct_checks_the_table_against_the_code_itself():
-    code, ref = encoded("phase3")
-    table = build_syndrome_table(code, 1, "phase-only")
+def test_a_state_of_another_block_size_than_the_tables_code_is_refused():
+    # the table is a decode's only handle on its code
+    table = build_syndrome_table(load_code("shor9"), 1)
+    _, ref = encoded("phase3")
     st = decohered(ref, (0,))
-    # an equal code rebuilt from its description may share the table ...
-    twin = code_from_dict(shipped_code_data("phase3"))
-    assert twin is not code
-    rep = correct(st, twin, 1, "exhaustive", trial_generator(0, 0), ref,
-                  pattern_filter="phase-only", table=table)
-    assert rep.corrected
-    # ... but a different code that happens to carry the same name may not
-    impostor = QuantumCode(code.name, 3, 1, 1, [PureState.basis_state("000"),
-                                                PureState.basis_state("111")])
-    with pytest.raises(ValueError, match="another code"):
-        correct(st, impostor, 1, "exhaustive", trial_generator(0, 0), ref,
-                pattern_filter="phase-only", table=table)
-
-
-@pytest.mark.parametrize("t, pattern_filter", [(2, "all"),
-                                               (1, "phase-only"),
-                                               (2, "phase-only")])
-def test_correct_refuses_a_table_built_for_another_t_or_filter(
-        t, pattern_filter):
-    # the table would decode at t = 1 over every pattern, whatever was asked
-    code, ref = encoded("shor9")
-    table = build_syndrome_table(code, 1, "all")
-    with pytest.raises(ValueError, match="pattern filter"):
-        correct(decohered(ref, (0,)), code, t, "exhaustive",
-                trial_generator(0, 0), ref, pattern_filter=pattern_filter,
-                table=table)
+    for call in (
+            lambda: correct(st, table, "exhaustive", trial_generator(0, 0),
+                            ref),
+            lambda: measure_exhaustive(st, table, trial_generator(0, 0)),
+            lambda: syndrome_distribution(st, table)):
+        with pytest.raises(ValueError, match="state has 3 qubits but the "
+                                             "table's code has 9"):
+            call()
 
 
 def test_deterministic_given_the_same_deviates():
@@ -356,8 +324,7 @@ def test_deterministic_given_the_same_deviates():
     table = build_syndrome_table(code, 1, "phase-only")
     st = decohered(ref, (0, 2), overlap=0.4)
     reps = [
-        correct(st, code, 1, "hierarchical", trial_generator(11, 5), ref,
-                pattern_filter="phase-only", table=table)
+        correct(st, table, "hierarchical", trial_generator(11, 5), ref)
         for _ in range(2)
     ]
     assert reps[0].syndrome == reps[1].syndrome

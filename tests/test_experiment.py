@@ -106,6 +106,39 @@ def test_summary_margin_is_null_when_the_bound_is_certain():
     assert res["success_rate_wilson95"][1] == 1.0
 
 
+#: a fixed bit-flip channel, a00 = a11 and a01 = a10: its errors are all
+#: amplitude flips
+BIT_FLIP = {"env_dim": 2, "a00": [[0.8, 0.0], [0.0, 0.0]],
+            "a01": [[0.0, 0.0], [0.6, 0.0]], "a10": [[0.0, 0.0], [0.6, 0.0]],
+            "a11": [[0.8, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("code, pattern_filter, channel, max_active, covered", [
+    ("phase3", "phase-only", "random:2", None, False),
+    ("perfect5", "amplitude-only", "random:2", None, False),
+    ("shor9", "amplitude-only", "decoherence:0", 2, False),
+    ("phase3", "phase-only", "bit-flip", None, False),
+    ("phase3", "phase-only", "decoherence:0.3", None, True),
+    ("shor9", "all", "random:2", 2, True),
+    ("shor9", "amplitude-only", "bit-flip", 2, True),
+])
+def test_the_bound_counts_only_clean_trials_when_the_filter_misses_errors(
+        tmp_path, code, pattern_filter, channel, max_active, covered):
+    if channel == "bit-flip":
+        channel = str(tmp_path / "bit_flip.json")
+        with open(channel, "w") as fh:
+            json.dump(BIT_FLIP, fh)
+    config = ExperimentConfig(code=code, p=0.2, channel=channel, trials=5,
+                              pattern_filter=pattern_filter,
+                              max_active=max_active)
+    res = run_experiment(config)[1]["results"]
+    n = load_code(code).n
+    bound = analytic_success_bound(n, 1 if covered else 0, 0.2, max_active)
+    assert res["analytic_success_bound"] == bound
+    sigma = math.sqrt(bound * (1 - bound) / 5)
+    assert res["bound_margin_sigma"] == (res["success_rate"] - bound) / sigma
+
+
 def _wilson_closed_form(successes, trials):
     # the textbook form, centred on the observed rate
     z = WILSON_Z95

@@ -31,8 +31,7 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 def reference_run(config):
     """(records, measurement counts) of config, one trial at a time."""
     code = load_code(config.code)
-    t = code.claimed_t
-    table = build_syndrome_table(code, t, config.pattern_filter)
+    table = build_syndrome_table(code, code.claimed_t, config.pattern_filter)
     eligible = (list(range(code.n)) if config.qubits == "all"
                 else list(config.qubits))
     kind, value = config.channel.split(":")
@@ -59,8 +58,7 @@ def reference_run(config):
         state = reference
         for q, ch in channels:
             state = apply_channel(state, q, ch)
-        report = correct(state, code, t, config.strategy, rng, reference,
-                         pattern_filter=config.pattern_filter, table=table)
+        report = correct(state, table, config.strategy, rng, reference)
         records.append({
             "trial": trial,
             "activated": "+".join(str(q) for q in activated),

@@ -112,8 +112,7 @@ def test_prefetched_deviates_drive_the_same_walk(walk, seed, trial, dyadic):
         for strategy, measure in [("exhaustive", measure_exhaustive),
                                   ("hierarchical", measure_hierarchical)]:
             rng = trial_generator(seed, trial)
-            correct(state, public.code, public.t, strategy, rng, ref,
-                    public.pattern_filter, table=public)
+            correct(state, public, strategy, rng, ref)
             assert rng.random() == want
             rng = trial_generator(seed, trial)
             measure(state, public, rng)
