@@ -146,32 +146,42 @@ def random_channel(env_dim, rng):
                         a10=M[1, :env_dim], a11=M[1, env_dim:])
 
 
-def entangle_stack(amps, qubit, blocks):
-    """Entangle `qubit` of every state in a stack with a fresh environment
+def entangle_stack(amps, qubits, blocks):
+    """Entangle one qubit of every state in a stack with a fresh environment
     factor.
 
-    amps holds g states as (g, 2^n, d_1, ..., d_k); blocks holds each
-    state's 2 x 2d_E channel block, (g, 2, 2d_E), or one block shared by all,
-    (1, 2, 2d_E). Each basis amplitude with qubit bit b turns into the
-    superposition over output bits c weighted by the components of a_{b,c}.
-    Returns (g, 2^n, d_1, ..., d_k, d_E); every state's amplitudes come from
-    its own amplitudes and block alone.
+    amps holds g states as (g, 2^n, d_1, ..., d_k); qubits (g,) names the
+    qubit of each state; blocks holds each state's 2 x 2d_E channel block,
+    (g, 2, 2d_E), or one block shared by all, (1, 2, 2d_E). Each basis
+    amplitude with qubit bit b turns into the superposition over output bits
+    c weighted by the components of a_{b,c}. Returns (g, 2^n, d_1, ...,
+    d_k, d_E); every state's amplitudes come from its own amplitudes, qubit
+    and block alone.
     """
     g = amps.shape[0]
     d = blocks.shape[2] // 2
-    # axis 4 of src is this qubit's bit: src[..., 0, :] and src[..., 1, :]
-    # pair the basis states that differ only in it
-    src = amps.reshape(g, 1, 1, 1 << qubit, 2, -1)
+    qubits = np.asarray(qubits)
     # w[k, b, e, c] = a_{b,c}[e] of block k, broadcast over the high and
     # low bits
     w = blocks.reshape(-1, 2, 2, d).transpose(0, 1, 3, 2)
     w = w[..., np.newaxis, np.newaxis]
-    # laid out (state, e, output bit, high bits, low bits), so the inner
-    # loops run over the low bits rather than over d_E
-    out = src[..., 0, :] * w[:, 0]
-    out += src[..., 1, :] * w[:, 1]
-    out = out.transpose(0, 3, 2, 4, 1)
-    return np.ascontiguousarray(out).reshape(amps.shape + (d,))
+    out = np.empty(amps.shape + (d,), dtype=np.result_type(amps, blocks))
+    # the states that share a qubit go through one product
+    for q in np.unique(qubits).tolist():
+        rows = np.flatnonzero(qubits == q)
+        if len(rows) == g:
+            rows = slice(None)  # the whole stack: no gather
+        sub = amps[rows]
+        # axis 4 of src is this qubit's bit: src[..., 0, :] and
+        # src[..., 1, :] pair the basis states that differ only in it
+        src = sub.reshape(len(sub), 1, 1, 1 << q, 2, -1)
+        wq = w if len(w) == 1 else w[rows]
+        # laid out (state, e, output bit, high bits, low bits), so the inner
+        # loops run over the low bits rather than over d_E
+        part = src[..., 0, :] * wq[:, 0]
+        part += src[..., 1, :] * wq[:, 1]
+        out.reshape(g, 1 << q, 2, -1, d)[rows] = part.transpose(0, 3, 2, 4, 1)
+    return out
 
 
 def apply_channel(state, qubit, ch):
@@ -191,7 +201,7 @@ def apply_channel(state, qubit, ch):
         raise ValueError("qubit %d already has an environment factor "
                          "(re-entanglement is out of scope)" % qubit)
     layout = state.layout.with_env(qubit, ch.env_dim)
-    out = entangle_stack(state.amps[np.newaxis], qubit,
+    out = entangle_stack(state.amps[np.newaxis], [qubit],
                          ch.block()[np.newaxis])
     return PureState._trusted(layout, out[0])
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -264,10 +265,8 @@ def cmd_simulate(args):
             body = records_to_csv(records)
         summary_text = _json_text(summary)
         _write(out or sys.stdout, body)
-        if summary_out or out:
-            _write(summary_out or sys.stdout, summary_text)
-        else:
-            sys.stderr.write(summary_text)
+        _write(summary_out or (sys.stdout if out else sys.stderr),
+               summary_text)
     return 0
 
 
@@ -324,7 +323,10 @@ class _Parser(argparse.ArgumentParser):
         _write(file or sys.stdout, self.format_help())
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args keeps
+    no state from one call to the next."""
     parser = _Parser(
         prog="qeclab",
         description="quantum error-correction workbench: encoded blocks, "
@@ -396,19 +398,26 @@ def build_parser():
     return parser
 
 
+def _complain(text):
+    """Write text to stderr, or drop it when stderr cannot take it: the
+    exit code still tells the failure. _write closes a stderr that fails,
+    so the interpreter's flush at exit cannot fail on it again."""
+    with contextlib.suppress(ValueError):  # BadInput, or a closed stderr
+        _write(sys.stderr, text)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except BadInput as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        _complain("error: %s\n" % exc)
         return 2
     except ConditionError as exc:
-        sys.stderr.write(_json_text(exc.report.to_dict()))
-        sys.stderr.write("error: %s\n" % exc)
+        _complain(_json_text(exc.report.to_dict()) + "error: %s\n" % exc)
         return 1
     except WorkerFailed as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        _complain("error: %s\n" % exc)
         return 1
 
 

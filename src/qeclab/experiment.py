@@ -22,14 +22,16 @@ joint amplitudes, each block in three phases:
    preallocated array; then uniform deviates for the measurement walk, as
    many as the walk can take (one per syndrome subspace). A clean trial (no
    activated qubit) skips the deviates, which end its stream;
-2. propagate -- trials that activated the same qubits form a group: the
-   group's logical states are normalized and encoded as one stack, its
-   random channels are orthonormalized as one stack, each activated
-   qubit's channel is applied to the whole stack, and one product takes
-   every trial's syndrome coordinates;
+2. propagate -- trials that activated the same number m of qubits form a
+   class (so a block has at most cap + 1 classes, whatever qubits its
+   trials activated): the class's logical states are normalized and
+   encoded as one stack, its random channels are orthonormalized as one
+   stack, its trials' j-th activated qubits, one per trial, are entangled
+   as one stack for each j < m, and one product takes every trial's
+   syndrome coordinates;
 3. decode -- one array walk (decoder.sample_walks) advances every trial's
    measurement walk on its prefetched deviates, round by round, and one
-   decoder.verify_outcomes call per group checks its outcomes, identified
+   decoder.verify_outcomes call per class checks its outcomes, identified
    ones on their small syndrome blocks. A walk's masses are left-to-right
    sums, taken as masked cumulative sums, so no interpreter's float sum()
    enters them. A clean trial walks on the largest deviate below 1, which
@@ -42,9 +44,11 @@ A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
 
 Batching leaves every trial's results unchanged: each product in phase 2 is
-a fixed-shape product per trial, which numpy loops over the stack, and the
-walk's sums and thresholds are taken row by row, so no trial's numbers
-depend on the block, the group or the worker that ran it.
+a fixed-shape product per trial, which numpy loops over the stack (the
+trials of a class share the shape of their joint states, 2^n x d_E^m,
+whichever qubits they activated), and the walk's sums and thresholds are
+taken row by row, so no trial's numbers depend on the block, the class or
+the worker that ran it.
 """
 
 from __future__ import annotations
@@ -301,16 +305,15 @@ class _ExperimentContext:
                                 else 0)
         self.streams = TrialStreams()
 
-    def propagate(self, activated, normals):
-        """Phase 2 of a group of trials that all activated `activated`, whose
-        standard normals are `normals`: (encoded reference blocks (g, 2^n),
-        joint state matrices (g, 2^n, d_E^m), and their syndrome coordinates
-        coeff, p, p_none).
+    def propagate(self, qubits, normals):
+        """Phase 2 of a class of g trials that each activated m qubits, named
+        in ascending order by the rows of `qubits` (g, m), whose standard
+        normals are the rows of `normals`: (encoded reference blocks (g,
+        2^n), joint state matrices (g, 2^n, d_E^m), and their syndrome
+        coordinates coeff, p, p_none).
         """
-        g = len(normals)
-        split = self.channel_normals * len(activated)
-        if split or self.fixed_logical is None:
-            normals = np.array(normals)
+        g, m = qubits.shape
+        split = self.channel_normals * m
         if self.fixed_logical is None:
             half = 1 << self.code.l
             logical = (normals[:, split:split + half]
@@ -322,12 +325,12 @@ class _ExperimentContext:
         blocks = None
         if split:
             blocks = orthonormalize_blocks(gaussian_blocks(
-                normals[:, :split], self.env_dim)).reshape(
-                    g, len(activated), 2, -1)
+                normals[:, :split], self.env_dim)).reshape(g, m, 2, -1)
         amps = refs
-        for j, q in enumerate(activated):
+        for j in range(m):
             amps = entangle_stack(
-                amps, q, self.fixed_block if blocks is None else blocks[:, j])
+                amps, qubits[:, j],
+                self.fixed_block if blocks is None else blocks[:, j])
         M = amps.reshape(g, 1 << self.code.n, -1)
         return (refs, M) + stack_coordinates(self.table, M)
 
@@ -359,7 +362,8 @@ class _ExperimentContext:
     def run_block(self, start, stop):
         """Records of trials [start, stop), and the (measurements, forced
         outcomes, activation redraws) of each as a (3, stop - start)
-        array."""
+        array. The block's trials go through one propagate and one
+        verify_outcomes call per activated weight."""
         cfg = self.config
         seed, rate, k = cfg.seed, cfg.p, len(self.eligible)
         cap = k if cfg.max_active is None else min(cfg.max_active, k)
@@ -391,25 +395,24 @@ class _ExperimentContext:
 
         for j in range(b):
             draw(j, False)
-        # trials that activated the same qubits share a layout, found from
-        # their activation masks packed into integers
-        masks, layout = np.unique((F < rate) @ (1 << np.arange(k)),
-                                  return_inverse=True)
-        shapes = [tuple(q for j, q in enumerate(self.eligible)
-                        if mask >> j & 1) for mask in masks.tolist()]
-        # each layout's trials in trial order, the layouts in mask order
-        groups = np.split(np.argsort(layout, kind="stable"),
-                          np.cumsum(np.bincount(layout))[:-1])
+        activated = F < rate
+        weight = np.count_nonzero(activated, axis=1)
+        eligible = np.array(self.eligible, dtype=np.intp)
         P = np.empty((b, len(self.table)))
         p_none = np.empty(b)
         stacks = []
-        for s, members in enumerate(groups):
+        # trials that activated the same number of qubits form a class, in
+        # trial order: each row's activated qubits, ascending, fill one row
+        # of the class's (g, m) qubit array
+        for m in np.unique(weight).tolist():
+            members = np.flatnonzero(weight == m)
+            qubits = eligible[np.nonzero(activated[members])[1]].reshape(
+                len(members), m)
             refs, M, coeff, p, rest = self.propagate(
-                shapes[s], Z[members, :channel * len(shapes[s]) + logical])
+                qubits, Z[members, :channel * m + logical])
             P[members], p_none[members] = p, rest
             stacks.append((members, refs, M, coeff, p))
-        # the clean layout, mask 0, sorts first when there is one
-        clean = groups[0] if not shapes[0] else np.empty(0, dtype=np.intp)
+        clean = np.flatnonzero(weight == 0)
         index, measurements, forced = self.walk(P, p_none, U, clean, draw)
         fidelity, top = np.empty(b), np.empty(b)
         for members, refs, M, coeff, p in stacks:
@@ -419,7 +422,11 @@ class _ExperimentContext:
         if bad.any():
             raise AssertionError("fidelity %r out of range"
                                  % float(fidelity[bad][0]))
-        names = ["+".join(str(q) for q in a) for a in shapes]
+        # the activated column names each trial's activation mask
+        masks, layout = np.unique(activated @ (1 << np.arange(k)),
+                                  return_inverse=True)
+        names = ["+".join(str(q) for j, q in enumerate(self.eligible)
+                          if mask >> j & 1) for mask in masks.tolist()]
         outcomes = self.table.texts + ("none",)
         records = [
             {"trial": start + j, "activated": names[s],

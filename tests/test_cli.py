@@ -878,6 +878,48 @@ def test_a_write_to_stdout_that_fails_exits_two(argv):
                            "device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full, whose writes fail with ENOSPC")
+@pytest.mark.parametrize("argv, code", [
+    # the summary goes to stderr, which cannot take it
+    (_SIMULATE, 2),
+    # only main's error line goes to stderr: it is dropped, the exit code
+    # stays the failure's
+    (["verify", "--code", "nonsense"], 2),
+    (["simulate", "--code", "phase3", "--p", "0.1", "--trials", "3"], 1),
+], ids=["simulate-summary", "bad-input", "condition"])
+def test_a_write_to_stderr_that_fails_keeps_the_exit_code(argv, code):
+    # in a child process, so that the interpreter's own flush of stderr at
+    # exit would show too
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qeclab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qeclab"] + argv,
+                              stdout=subprocess.PIPE, stderr=full, text=True,
+                              env=env, timeout=120)
+    assert proc.returncode == code
+    if argv is _SIMULATE:  # the records went out before the summary failed
+        assert proc.stdout.startswith(experiment.CSV_HEADER + "\n")
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    # the parser is built once per process; no call's options may leak into
+    # the next
+    simulate = ["simulate", "--code", "perfect5", "--p", "0.05", "--trials",
+                "5"]
+    rc, _, err = run(simulate + ["--t", "0"])
+    assert rc == 0 and json.loads(err)["config"]["t"] == 0
+    rc, _, err = run(simulate)
+    assert rc == 0 and json.loads(err)["config"]["t"] == 1
+    path = tmp_path / "verify.json"
+    verify = ["verify", "--code", "phase3", "--condition", "phase"]
+    rc, out, _ = run(verify + ["--out", str(path)])
+    assert rc == 0 and out == ""
+    rc, out, _ = run(verify)
+    assert rc == 0 and out == path.read_text()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_simulate_refuses_one_file_for_records_and_summary(tmp_path):
     # each would overwrite the other
     path = str(tmp_path / "both.txt")

@@ -247,6 +247,34 @@ def test_blocks_bound_the_amplitudes_held_at_once(monkeypatch):
     assert max(stacks) <= BLOCK_AMPLITUDES
 
 
+def test_a_block_propagates_and_verifies_once_per_activated_weight(
+        monkeypatch):
+    # 150 trials spread over about 40 of shor9's 46 layouts of at most two
+    # qubits, but over only three weights
+    calls = collections.Counter()
+    real_propagate = experiment._ExperimentContext.propagate
+    real_verify = experiment.verify_outcomes
+
+    def propagate(self, qubits, normals):
+        calls["propagate"] += 1
+        return real_propagate(self, qubits, normals)
+
+    def verify(*args):
+        calls["verify"] += 1
+        return real_verify(*args)
+
+    monkeypatch.setattr(experiment._ExperimentContext, "propagate",
+                        propagate)
+    monkeypatch.setattr(experiment, "verify_outcomes", verify)
+    ctx = experiment._ExperimentContext(ExperimentConfig(trials=150,
+                                                         **SHOR9))
+    records, _ = ctx.run_block(0, 150)
+    layouts = {r["activated"] for r in records}
+    weights = {len(a.split("+")) if a else 0 for a in layouts}
+    assert weights == {0, 1, 2} and len(layouts) > 20
+    assert calls == {"propagate": 3, "verify": 3}
+
+
 def test_an_invalid_channel_file_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(dict(decoherence_data(),

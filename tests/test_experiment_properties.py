@@ -174,7 +174,9 @@ def live_walks(ctx, start, stop):
     out = []
     for trial in range(start, stop):
         rng, activated, normals, redraws = live_draw(ctx, trial)
-        *_, p, p_none = ctx.propagate(activated, [normals])
+        *_, p, p_none = ctx.propagate(
+            np.array(activated, dtype=np.intp).reshape(1, -1),
+            normals[np.newaxis])
         i, trace, forced = sample_walk(ctx.table, p[0], p_none[0], rng,
                                        ctx.dyadic)
         out.append((len(ctx.table) if i is None else i, len(trace), forced,
@@ -207,8 +209,9 @@ def test_clean_trials_walk_as_with_their_own_deviates(code, strategy):
     # shor9's complement holds rounding dust, so some of its clean walks
     # are not certain and draw their deviates after all: the run above
     # took that path too
-    *_, P, p_none = ctx.propagate((), [live_draw(ctx, k)[2]
-                                       for k in range(config.trials)])
+    *_, P, p_none = ctx.propagate(
+        np.empty((config.trials, 0), dtype=np.intp),
+        np.array([live_draw(ctx, k)[2] for k in range(config.trials)]))
     certain = sample_walks(ctx.table, P, p_none,
                            np.full(P.shape, CERTAIN_DEVIATE), ctx.dyadic)
     if code == "shor9":
