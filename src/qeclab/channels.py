@@ -27,7 +27,9 @@ qubits of *any* state |psi> through channels yields exactly
     |R_ab>  =  2^-m  sum_g  (-1)^(g.b)  (x)_{j in S}  a^(j)_{g_j, g_j+a_j},
 
 with g ranging over bit assignments on S. The residues depend only on the
-channels, never on the transported state.
+channels, never on the transported state. The sum over g factors into one
+sum per qubit, so every residue is a tensor product of one-qubit residues,
+which qubit_residues builds for a stack of channels at once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .codes import json_value
 from .statespace import TOL_NORM, FactorLayout, PureState
 
 _UNITARITY_CONSTRAINTS = ("row0_norm", "row1_norm", "row_orthogonality")
-_VEC_NAMES = {(0, 0): "a00", (0, 1): "a01", (1, 0): "a10", (1, 1): "a11"}
 
 
 class QubitChannel:
@@ -206,6 +207,41 @@ def apply_channel(state, qubit, ch):
     return PureState._trusted(layout, out[0])
 
 
+def qubit_residues(blocks):
+    """The one-qubit residues of a stack of 2 x 2d_E channel blocks, (g, 4,
+    d_E): row 2 alpha + beta holds |R_ab> of the pattern with amplitude bit
+    alpha and phase bit beta on the channel's qubit,
+
+        (a00 + a11)/2,  (a00 - a11)/2,  (a01 + a10)/2,  (a01 - a10)/2.
+
+    A residue on several qubits is the tensor product of one-qubit residues,
+    one factor per channel, so every residue is built from these rows.
+    """
+    d = blocks.shape[-1] // 2
+    a00, a01 = blocks[:, 0, :d], blocks[:, 0, d:]
+    a10, a11 = blocks[:, 1, :d], blocks[:, 1, d:]
+    return np.stack([a00 + a11, a00 - a11, a01 + a10, a01 - a10], axis=1) / 2
+
+
+def pattern_residues(blocks):
+    """The residues of all 4^m patterns on m qubits of each state in a stack,
+    (g, 4^m, d_E^m), from its m channel blocks (g, m, 2, 2d_E) in ascending
+    qubit order. Row sum_j 4^(m-1-j) (2 alpha_j + beta_j) is the pattern
+    with bits alpha_j, beta_j on the j-th qubit, and the environment axes
+    follow the qubits, the first one major, as entangle_stack appends them.
+    Each state's residues are elementwise products of its own blocks.
+    """
+    g, m, _, width = blocks.shape
+    rows = qubit_residues(blocks.reshape(-1, 2, width)).reshape(
+        g, m, 4, width // 2)
+    out = np.ones((g, 1, 1), dtype=rows.dtype)
+    for j in range(m):
+        out = (out[:, :, np.newaxis, :, np.newaxis]
+               * rows[:, j, np.newaxis, :, np.newaxis, :]).reshape(
+                   g, out.shape[1] * 4, -1)
+    return out
+
+
 def residue_oracle(channels, alpha, beta):
     """Environment residue |R_ab> for channels applied on an ordered set.
 
@@ -215,7 +251,9 @@ def residue_oracle(channels, alpha, beta):
     PureState (one factor per channel, in list order), generally
     unnormalized:
 
-        2^-m  sum_g  (-1)^(g.b)  (x)_j  a^(j)_{g_j, (g+a)_j}
+        2^-m  sum_g  (-1)^(g.b)  (x)_j  a^(j)_{g_j, (g+a)_j},
+
+    the tensor product over the channels of their qubit_residues rows.
     """
     channels = list(channels)
     if len(alpha) != len(beta):
@@ -229,21 +267,11 @@ def residue_oracle(channels, alpha, beta):
     if outside:
         raise ValueError("pattern support %s lies outside the affected set %s"
                          % (sorted(outside), affected))
-    m = len(channels)
-    dims = tuple(ch.env_dim for _, ch in channels)
-    acc = np.zeros(dims if dims else (1,), dtype=np.complex128)
-    for g in range(1 << m):
-        sign = 1.0
-        term = np.ones(1)
-        for j, (q, ch) in enumerate(channels):
-            gj = (g >> j) & 1
-            if gj & beta[q]:
-                sign = -sign
-            vec = getattr(ch, _VEC_NAMES[(gj, gj ^ alpha[q])])
-            term = np.multiply.outer(term, vec)
-        acc += sign * term.reshape(acc.shape)
-    acc /= float(1 << m)
-    layout = FactorLayout.environment_only(dims)
+    acc = np.ones(1, dtype=np.complex128)
+    for q, ch in channels:
+        rows = qubit_residues(ch.block()[np.newaxis])[0]
+        acc = np.multiply.outer(acc, rows[2 * alpha[q] + beta[q]])
+    layout = FactorLayout.environment_only([ch.env_dim for _, ch in channels])
     return PureState._trusted(layout, acc)
 
 

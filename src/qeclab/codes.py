@@ -46,6 +46,7 @@ The built-in catalogue ships four codes as literal dyadic amplitude data:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -137,6 +138,7 @@ class QuantumCode:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "claimed_t", claimed_t)
         object.__setattr__(self, "vectors", vectors)
+        mat.setflags(write=False)
         object.__setattr__(self, "_mat", mat)
 
     def __setattr__(self, name, value):
@@ -489,7 +491,10 @@ def _code_from_dict(data):
     return QuantumCode(name, n, l, t, vectors)
 
 
+@functools.cache
 def _load_builtin(name):
+    """A catalogue code, parsed from its shipped JSON once per process:
+    every caller shares the one immutable QuantumCode."""
     ref = resources.files("qeclab").joinpath("data", name + ".json")
     with ref.open() as fh:
         return code_from_dict(json.load(fh))

@@ -14,7 +14,12 @@ state while disentangling the block from every environment factor.
 Decoding works in syndrome coordinates. Stacking the conjugated basis rows
 of every subspace into one matrix B, a single product coeff = B M (M the
 system-by-environment matrix of the state) holds the state's coordinates in
-all subspaces at once. By orthonormality, subspace i answers with
+all subspaces at once (stack_coordinates). A code state sum_k x_k |C^k>
+whose qubits went through channels needs no M: its joint state is sum_E
+E|psi> (x) |R_E> over the patterns E on those qubits, so coeff = sum_(E, k)
+Omega[:, (E, k)] x_k R_E, with Omega[(P, j), (E, k)] = <P C^j|E C^k> the
+Knill-Laflamme overlaps of the table with the patterns (Overlaps,
+overlap_coordinates). By orthonormality, subspace i answers with
 probability p_i = ||coeff_i||^2, the complement keeps the remaining mass,
 and a walk's binary measurements are decided from p alone.
 
@@ -48,8 +53,9 @@ import math
 
 import numpy as np
 
-from .errors import ErrorPattern, apply_amplitude, apply_phase, pattern_texts
-from .codes import ConditionError, _gram_check
+from .errors import (ErrorPattern, apply_amplitude, apply_phase,
+                     pattern_keys, pattern_texts)
+from .codes import ConditionError, _gram_check, pattern_images
 from .statespace import (TOL_NORM, TOL_ZERO, PureState, fidelity_against,
                          row_norms, schmidt_diagnostics)
 
@@ -122,6 +128,15 @@ def build_syndrome_table(code, t, pattern_filter="all"):
 
 # -- projective measurement ----------------------------------------------------
 
+def _probabilities(table, coeff):
+    """Each state's probability per subspace, (g, len(table)), from its
+    syndrome coordinates coeff (g, rows, d): the squared norm of each
+    subspace's 2^l x d block, one fixed-shape sum per state."""
+    parts = coeff.view(np.float64)  # real and imaginary parts interleaved
+    return np.add.reduceat(np.einsum("gij,gij->gi", parts, parts),
+                           np.arange(len(table)) << table.code.l, axis=1)
+
+
 def stack_coordinates(table, M):
     """A stack of states in syndrome coordinates: (coeff, p, p_none).
 
@@ -134,15 +149,118 @@ def stack_coordinates(table, M):
     the other states of the stack.
     """
     coeff = np.matmul(table.conj_rows, M)
-    parts = coeff.view(np.float64)  # real and imaginary parts interleaved
-    p = np.add.reduceat(np.einsum("gij,gij->gi", parts, parts),
-                        np.arange(len(table)) << table.code.l, axis=1)
+    p = _probabilities(table, coeff)
     if table.is_complete:
         p_none = np.zeros(len(M))
     else:
         flat = M.reshape(len(M), -1).view(np.float64)
         p_none = np.maximum(np.einsum("gi,gi->g", flat, flat)
                             - np.sum(p, axis=1), 0.0)
+    return coeff, p, p_none
+
+
+#: most image amplitudes in one product of Overlaps.cover
+OVERLAP_PRODUCT = 1 << 14
+
+
+class Overlaps:
+    """The overlaps Omega[(P, j), (E, k)] = <P C^j|E C^k> of a syndrome
+    table's subspace bases with the images of the error patterns E on a set
+    of qubits: the Knill-Laflamme form from which overlap_coordinates takes
+    a state's syndrome coordinates without its joint state.
+
+    keys holds the canonical keys of the patterns built, ascending, and
+    columns[i] the (2^l, rows) overlaps of pattern keys[i], indexed (k, (P,
+    j)), real for a real code; both are read-only, and cover replaces them.
+    weight is the union weight built up to (-1 before any). cover builds
+    one weight at a time, its patterns in canonical order through products
+    of fixed shapes, so every entry depends on the table, the qubits and
+    its pattern alone, not on which weights were built before.
+    """
+
+    __slots__ = ("table", "qubits", "keys", "columns", "weight", "_rows")
+
+    def __init__(self, table, qubits):
+        code = table.code
+        rows = table.conj_rows.T
+        if not code.matrix().imag.any():
+            rows = rows.real
+        self.table = table
+        self.qubits = tuple(qubits)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.columns = np.empty((0, 1 << code.l, len(table.rows)),
+                                dtype=rows.dtype)
+        self.weight = -1
+        self._rows = np.ascontiguousarray(rows)
+
+    def cover(self, weight):
+        """Build the overlaps of every pattern on the qubits of union weight
+        up to `weight`, the weights not built yet one at a time."""
+        code = self.table.code
+        n, k = code.n, len(self.qubits)
+        shifts = np.array(self.qubits + tuple(q + n for q in self.qubits),
+                          dtype=np.int64)
+        step = max(1, OVERLAP_PRODUCT >> (code.l + n))  # patterns a product
+        for w in range(self.weight + 1, weight + 1):
+            # the patterns of union weight w on k local qubits, their key
+            # bits moved to the qubits they stand for
+            local = pattern_keys(k, w)
+            local = local[np.bitwise_count((local | local >> k)
+                                           & ((1 << k) - 1)) == w]
+            keys = np.bitwise_or.reduce(
+                (local[:, np.newaxis] >> np.arange(2 * k) & 1) << shifts,
+                axis=1)
+            columns = [self.columns]
+            for a in range(0, len(keys), step):
+                images = pattern_images(code, keys[a:a + step])
+                if self._rows.dtype != images.dtype:
+                    images = np.ascontiguousarray(images.real)
+                columns.append((images @ self._rows).reshape(
+                    -1, 1 << code.l, self._rows.shape[1]))
+            keys = np.concatenate([self.keys, keys])
+            order = np.argsort(keys)
+            keys, columns = keys[order], np.concatenate(columns)[order]
+            for array in (keys, columns):
+                array.setflags(write=False)
+            self.keys, self.columns, self.weight = keys, columns, w
+
+
+def overlap_coordinates(overlaps, keys, logical, residues):
+    """Syndrome coordinates (coeff, p, p_none) of a stack of g states, as
+    stack_coordinates gives them, without their joint states.
+
+    State j is the code state sum_k logical[j, k] |C^k> (logical (g, 2^l))
+    after channels on m of its qubits, whose joint state is sum_E E|psi_j>
+    (x) |R_E> over the 4^m patterns E on those qubits: keys[j] (g, 4^m)
+    holds their canonical keys and residues[j] (g, 4^m, d_E^m) their
+    residues, in one order (one row of residues serves every state). So
+    coeff_j = sum_(E, k) Omega[:, (E, k)] logical[j, k] R_E. Every pattern
+    must be covered. p_none is the mass 1 - sum(p) left to the complement,
+    clamped at 0 (exactly 0 for a complete table). Every state's numbers
+    come from fixed-shape products of its own arrays.
+    """
+    table = overlaps.table
+    at = np.searchsorted(overlaps.keys, keys)
+    if not np.array_equal(
+            overlaps.keys[np.minimum(at, len(overlaps.keys) - 1)], keys):
+        raise ValueError("overlaps hold no columns for some patterns")
+    g = len(keys)
+    # (g, rows, 4^m 2^l) columns, against each state's (4^m 2^l, d_E^m)
+    # logical amplitudes times residues
+    cols = overlaps.columns[at].reshape(g, -1, len(table.rows))
+    weights = (residues[:, :, np.newaxis, :]
+               * logical[:, np.newaxis, :, np.newaxis]).reshape(
+                   g, cols.shape[1], -1)
+    if np.iscomplexobj(cols):
+        coeff = np.matmul(cols.transpose(0, 2, 1), weights)
+    else:  # a real product on the real and imaginary parts side by side
+        coeff = np.matmul(cols.transpose(0, 2, 1),
+                          weights.view(np.float64)).view(np.complex128)
+    p = _probabilities(table, coeff)
+    if table.is_complete:
+        p_none = np.zeros(g)
+    else:
+        p_none = np.maximum(1.0 - np.sum(p, axis=1), 0.0)
     return coeff, p, p_none
 
 
@@ -407,20 +525,21 @@ class DecodeReport:
                                    self.disentangled, self.corrected))
 
 
-def verify_outcomes(table, index, references, M, coeff, p):
+def verify_outcomes(table, index, references, coeff, p, M):
     """(fidelity, max Schmidt coefficient) arrays of a stack of decodes, one
     entry per decode, whose walks ended in subspace index[j] (len(table):
     the complement).
 
     references (g, 2^n) holds the system amplitudes fidelity is measured
-    against, M (g, 2^n, d_E) the state matrices, coeff (g, rows, d_E) their
-    syndrome coordinates and p (g, len(table)) their syndrome
-    probabilities. An identified outcome's recovered state is C^T b with b
-    = coeff_i / sqrt(p_i): C^T is an isometry, so its fidelity ||(conj(ref)
-    C^T) b||^2 and its Schmidt coefficients (the singular values of b) come
-    from the 2^l x d_E block alone. An outcome in the complement is checked
-    on its renormalized complement matrix. Every decode's numbers come from
-    fixed-shape products of its own arrays.
+    against, coeff (g, rows, d_E) the states' syndrome coordinates and p
+    (g, len(table)) their syndrome probabilities; M (h, 2^n, d_E) holds the
+    state matrices of the h decodes that ended in the complement, in stack
+    order (None when h = 0). An identified outcome's recovered state is C^T
+    b with b = coeff_i / sqrt(p_i): C^T is an isometry, so its fidelity
+    ||(conj(ref) C^T) b||^2 and its Schmidt coefficients (the singular
+    values of b) come from the 2^l x d_E block alone. An outcome in the
+    complement is checked on its renormalized complement matrix. Every
+    decode's numbers come from fixed-shape products of its own arrays.
     """
     size = 1 << table.code.l  # the rows of one subspace
     fidelity, top = np.empty(len(index)), np.empty(len(index))
@@ -436,7 +555,7 @@ def verify_outcomes(table, index, references, M, coeff, p):
                        / np.sqrt(p[found, i])[:, np.newaxis, np.newaxis]))
     if len(outside):
         stacks.append((outside, references[outside].conj()[:, np.newaxis],
-                       _complement(table, M[outside], coeff[outside])))
+                       _complement(table, M, coeff[outside])))
     for members, bras, states in stacks:
         fidelity[members] = np.sum(np.abs(np.matmul(bras, states)) ** 2,
                                    axis=(1, 2))

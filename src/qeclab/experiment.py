@@ -25,30 +25,41 @@ joint amplitudes, each block in three phases:
 2. propagate -- trials that activated the same number m of qubits form a
    class (so a block has at most cap + 1 classes, whatever qubits its
    trials activated): the class's logical states are normalized and
-   encoded as one stack, its random channels are orthonormalized as one
-   stack, its trials' j-th activated qubits, one per trial, are entangled
-   as one stack for each j < m, and one product takes every trial's
-   syndrome coordinates;
+   encoded as one stack, and its random channels orthonormalized as one
+   stack. Up to a weight fixed per code and environment dimension
+   (_ExperimentContext.overlap_weight) no joint state is built: a trial's
+   joint state is sum_E E|psi> (x) |R_E> over the 4^m patterns E on its
+   qubits, so its syndrome coordinates are the overlaps <P C^j|E C^k> of
+   the table with those patterns (decoder.Overlaps, cached per code and
+   built one weight at a time) contracted with its logical state and its
+   residues R_E (channels.pattern_residues), in one gather and one product
+   for the class. A heavier class entangles its trials' j-th activated
+   qubits, one per trial, as one stack for each j < m, and one product
+   projects the joint states onto the table;
 3. decode -- one array walk (decoder.sample_walks) advances every trial's
    measurement walk on its prefetched deviates, round by round, and one
    decoder.verify_outcomes call per class checks its outcomes, identified
-   ones on their small syndrome blocks. A walk's masses are left-to-right
-   sums, taken as masked cumulative sums, so no interpreter's float sum()
-   enters them. A clean trial walks on the largest deviate below 1, which
-   keeps its result exactly when every step is certain
-   (_ExperimentContext.walk); any other clean trial replays its stream
-   from the start as in phase 1, its deviates included this time, and
-   walks again.
+   ones on their small syndrome blocks. Only the trials whose walk ended in
+   the complement build their joint states, and take their coordinates
+   from them, as the complement's check needs the state itself. A
+   walk's masses are left-to-right sums, taken as masked cumulative sums,
+   so no interpreter's float sum() enters them. A clean trial walks on the
+   largest deviate below 1, which keeps its result exactly when every step
+   is certain (_ExperimentContext.walk); any other clean trial replays its
+   stream from the start as in phase 1, its deviates included this time,
+   and walks again.
 
 A draw of k values gives the values of k one-value draws, in order, so
 fusing the draws leaves every trial's stream and results unchanged.
 
-Batching leaves every trial's results unchanged: each product in phase 2 is
-a fixed-shape product per trial, which numpy loops over the stack (the
-trials of a class share the shape of their joint states, 2^n x d_E^m,
-whichever qubits they activated), and the walk's sums and thresholds are
-taken row by row, so no trial's numbers depend on the block, the class or
-the worker that ran it.
+Batching leaves every trial's results unchanged: each product in phases 2
+and 3 is a fixed-shape product per trial, which numpy loops over the stack
+(the trials of a class share the shapes of their overlaps, 4^m 2^l columns,
+and of their joint states, 2^n x d_E^m, whichever qubits they activated),
+the overlaps of one weight come from the same products whichever process
+builds them, and the walk's sums and thresholds are taken row by row, so
+no trial's numbers depend on the block, the class, the worker that ran it
+or the runs the process made before.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
+import functools
 import glob
 import math
 import operator
@@ -67,10 +79,11 @@ import numpy as np
 
 from .channels import (entangle_stack, gaussian_blocks, load_channel,
                        make_decoherence, orthonormalize_blocks,
-                       residue_oracle, validate)
-from .codes import condition_patterns, encode_stack, load_code
-from .decoder import (_FILTER_CONDITIONS, DYADIC, build_syndrome_table,
-                      sample_walks, stack_coordinates, verify_outcomes)
+                       pattern_residues, qubit_residues, validate)
+from .codes import BUILTIN_CODES, condition_patterns, encode_stack, load_code
+from .decoder import (_FILTER_CONDITIONS, DYADIC, Overlaps,
+                      build_syndrome_table, overlap_coordinates, sample_walks,
+                      stack_coordinates, verify_outcomes)
 from .rng import TrialStreams
 from .statespace import DIM_CAP, TOL_NORM, row_norms
 
@@ -238,10 +251,26 @@ def _filter_covers(pattern_filter, channel):
     every one-qubit pattern outside the filter has a zero residue."""
     if channel is None:
         return pattern_filter == "all"
-    inside = condition_patterns(1, 1, _FILTER_CONDITIONS[pattern_filter])
-    return all(residue_oracle([(0, channel)], e.alpha, e.beta).norm()
-               <= TOL_NORM for e in condition_patterns(1, 1, "general")
-               if e not in inside)
+    inside = {2 * e.alpha[0] + e.beta[0] for e in condition_patterns(
+        1, 1, _FILTER_CONDITIONS[pattern_filter])}
+    residues = qubit_residues(channel.block()[np.newaxis])[0]
+    return all(np.linalg.norm(residue) <= TOL_NORM
+               for row, residue in enumerate(residues) if row not in inside)
+
+
+@functools.cache
+def _shared_table(code, t, pattern_filter):
+    """build_syndrome_table of a catalogue code, once per process: each
+    catalogue code is one immutable object per process (codes.load_code),
+    while a code file is read into a new object, with its own table, by
+    every call."""
+    return build_syndrome_table(code, t, pattern_filter)
+
+
+#: the Overlaps of a shared table with the patterns on a set of qubits; the
+#: most recent few only, as each set of qubits has its own (up to 12 MB, for
+#: shor9's weights <= 4 on all nine qubits)
+_shared_overlaps = functools.lru_cache(maxsize=8)(Overlaps)
 
 
 class _ExperimentContext:
@@ -254,7 +283,7 @@ class _ExperimentContext:
         self.t = config.t if config.t is not None else self.code.claimed_t
         self.env_dim, channel = parse_channel_spec(config.channel)
         self.fixed_block = (None if channel is None  # trials draw theirs
-                            else channel.block()[np.newaxis])
+                            else channel.block()[np.newaxis, np.newaxis])
         if config.qubits == "all":
             self.eligible = list(range(self.code.n))
         else:
@@ -286,11 +315,20 @@ class _ExperimentContext:
         self.fixed_logical = (None if config.logical == "random" else
                               read_amplitudes(config.logical,
                                               1 << self.code.l))
+        shared = config.code in BUILTIN_CODES
         try:  # the one check of t and of the pattern filter
-            self.table = build_syndrome_table(self.code, self.t,
-                                              config.pattern_filter)
+            self.table = (_shared_table if shared else build_syndrome_table)(
+                self.code, self.t, config.pattern_filter)
         except ValueError as exc:
             raise BadInput(str(exc))
+        self.overlaps = (_shared_overlaps if shared else Overlaps)(
+            self.table, tuple(self.eligible))
+        # a class of m activated qubits takes its coordinates from the
+        # overlaps while its 4^m 2^l gathered columns per trial are at most
+        # the code's 2^n amplitudes, or half of them for d_E = 1: the
+        # measured crossover with its dense joint states
+        self.overlap_weight = (self.code.n - self.code.l
+                               - (self.env_dim == 1)) // 2
         # the weight the analytic bound counts: a filter that misses some
         # of the channel's patterns guarantees only the clean trials
         self.bound_t = (self.t if _filter_covers(config.pattern_filter,
@@ -309,8 +347,13 @@ class _ExperimentContext:
         """Phase 2 of a class of g trials that each activated m qubits, named
         in ascending order by the rows of `qubits` (g, m), whose standard
         normals are the rows of `normals`: (encoded reference blocks (g,
-        2^n), joint state matrices (g, 2^n, d_E^m), and their syndrome
-        coordinates coeff, p, p_none).
+        2^n), channel blocks (g, m, 2, 2d_E), or (1, m, 2, 2d_E) for a
+        fixed channel, and the syndrome coordinates coeff, p, p_none).
+
+        Up to overlap_weight activated qubits the coordinates come from
+        the overlaps (decoder.overlap_coordinates), without a joint state;
+        a heavier class builds its joint states (entangle) and projects
+        them (decoder.stack_coordinates).
         """
         g, m = qubits.shape
         split = self.channel_normals * m
@@ -322,17 +365,37 @@ class _ExperimentContext:
         else:
             logical = np.repeat(self.fixed_logical[np.newaxis], g, axis=0)
         refs = encode_stack(self.code, logical)
-        blocks = None
         if split:
             blocks = orthonormalize_blocks(gaussian_blocks(
                 normals[:, :split], self.env_dim)).reshape(g, m, 2, -1)
+        elif self.fixed_block is not None:
+            blocks = np.broadcast_to(self.fixed_block,
+                                     (1, m, 2, 2 * self.env_dim))
+        else:  # the clean class of a random channel
+            blocks = np.empty((1, 0, 2, 2 * self.env_dim))
+        if m > self.overlap_weight:
+            return (refs, blocks) + stack_coordinates(
+                self.table, self.entangle(refs, qubits, blocks))
+        self.overlaps.cover(m)
+        # each trial's 4^m pattern keys, in pattern_residues' row order:
+        # 2 alpha + beta on its j-th qubit, the first qubit major
+        n = self.code.n
+        keys = np.zeros((g, 1), dtype=np.int64)
+        for q in qubits.T.astype(np.int64):
+            step = np.array([0, 1 << n, 1, 1 | 1 << n]) << q[:, np.newaxis]
+            keys = (keys[:, :, np.newaxis] | step[:, np.newaxis]).reshape(
+                g, -1)
+        return (refs, blocks) + overlap_coordinates(
+            self.overlaps, keys, logical, pattern_residues(blocks))
+
+    def entangle(self, refs, qubits, blocks):
+        """The joint state matrices (g, 2^n, d_E^m) of the encoded blocks
+        refs (g, 2^n) after their qubits (g, m) went through their
+        propagate channel blocks, one stacked entangle_stack per column."""
         amps = refs
-        for j in range(m):
-            amps = entangle_stack(
-                amps, qubits[:, j],
-                self.fixed_block if blocks is None else blocks[:, j])
-        M = amps.reshape(g, 1 << self.code.n, -1)
-        return (refs, M) + stack_coordinates(self.table, M)
+        for j in range(qubits.shape[1]):
+            amps = entangle_stack(amps, qubits[:, j], blocks[:, j])
+        return amps.reshape(len(refs), 1 << self.code.n, -1)
 
     def walk(self, P, p_none, U, clean, draw):
         """Phase 3's measurement walks of a block's trials: (index,
@@ -361,9 +424,11 @@ class _ExperimentContext:
 
     def run_block(self, start, stop):
         """Records of trials [start, stop), and the (measurements, forced
-        outcomes, activation redraws) of each as a (3, stop - start)
-        array. The block's trials go through one propagate and one
-        verify_outcomes call per activated weight."""
+        outcomes, activation redraws, activated qubits) of each as a (4,
+        stop - start) array. The block's trials go through one propagate
+        and one verify_outcomes call per activated weight; only the trials
+        whose walk ended in the complement build their joint states
+        (entangle), whose projections then give their coordinates."""
         cfg = self.config
         seed, rate, k = cfg.seed, cfg.p, len(self.eligible)
         cap = k if cfg.max_active is None else min(cfg.max_active, k)
@@ -408,16 +473,24 @@ class _ExperimentContext:
             members = np.flatnonzero(weight == m)
             qubits = eligible[np.nonzero(activated[members])[1]].reshape(
                 len(members), m)
-            refs, M, coeff, p, rest = self.propagate(
+            refs, blocks, coeff, p, rest = self.propagate(
                 qubits, Z[members, :channel * m + logical])
             P[members], p_none[members] = p, rest
-            stacks.append((members, refs, M, coeff, p))
+            stacks.append((members, qubits, refs, blocks, coeff, p))
         clean = np.flatnonzero(weight == 0)
         index, measurements, forced = self.walk(P, p_none, U, clean, draw)
         fidelity, top = np.empty(b), np.empty(b)
-        for members, refs, M, coeff, p in stacks:
+        for members, qubits, refs, blocks, coeff, p in stacks:
+            ended = index[members]
+            outside = np.flatnonzero(ended == len(self.table))
+            M = None
+            if len(outside):  # its complement needs the joint state
+                M = self.entangle(refs[outside], qubits[outside],
+                                  blocks if len(blocks) == 1
+                                  else blocks[outside])
+                coeff[outside] = stack_coordinates(self.table, M)[0]
             fidelity[members], top[members] = verify_outcomes(
-                self.table, index[members], refs, M, coeff, p)
+                self.table, ended, refs, coeff, p, M)
         bad = ~((-TOL_NORM <= fidelity) & (fidelity <= 1.0 + TOL_NORM))
         if bad.any():
             raise AssertionError("fidelity %r out of range"
@@ -436,12 +509,13 @@ class _ExperimentContext:
                 layout.tolist(), index.tolist(), fidelity.tolist(),
                 (top >= 1.0 - TOL_NORM).tolist(),
                 (index < len(self.table)).tolist()))]
-        return records, np.stack([measurements, forced, redraws])
+        return records, np.stack([measurements, forced, redraws, weight])
 
     def run_range(self, start, stop):
-        """run_block's records of trials [start, stop), and its (3, stop -
-        start) array of their walk measurements, forced outcomes and
-        activation redraws, one block of at most block_trials at a time."""
+        """run_block's records of trials [start, stop), and its (4, stop -
+        start) array of their walk measurements, forced outcomes,
+        activation redraws and activated qubits, one block of at most
+        block_trials at a time."""
         records, walks = [], []
         for a in range(start, stop, self.block_trials):
             got = self.run_block(a, min(a + self.block_trials, stop))
@@ -619,10 +693,10 @@ def run_experiment(config, workers=1):
         raise BadInput("need at least one worker, not %d" % workers)
     if workers > MAX_WORKERS:
         raise BadInput("at most %d workers, not %d" % (MAX_WORKERS, workers))
-    ctx = _ExperimentContext(config)  # validates before any trial runs
     workers = min(workers, config.trials)
     edges = np.linspace(0, config.trials, workers + 1).astype(int)
     with _one_blas_thread():
+        ctx = _ExperimentContext(config)  # validates before any trial runs
         records, walks = _run_forked(ctx, [
             (int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b])
     return records, _summary(ctx, records, walks)
@@ -631,13 +705,14 @@ def run_experiment(config, workers=1):
 def _summary(ctx, records, walks):
     config = ctx.config
     trials = config.trials
-    successes = sum(1 for r in records
-                    if r["fidelity"] >= SUCCESS_FIDELITY and r["disentangled"])
+    success = np.array([r["fidelity"] >= SUCCESS_FIDELITY
+                        and r["disentangled"] for r in records], dtype=bool)
+    successes = int(np.count_nonzero(success))
     corrected = sum(1 for r in records if r["corrected"])
     bound = analytic_success_bound(len(ctx.eligible), ctx.bound_t, config.p,
                                    config.max_active)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
-    measurements, forced, redraws = walks
+    measurements, forced, redraws, weight = walks
     return {
         "config": dict(config.as_dict(),
                        t=ctx.t,
@@ -664,6 +739,16 @@ def _summary(ctx, records, walks):
             "activation_redraws": int(redraws.sum()),
             "syndrome_histogram": dict(collections.Counter(
                 r["syndrome"] for r in records)),
+            # trials and exact successes by how many qubits activated
+            "by_activated_weight": {
+                str(w): {"trials": int(np.count_nonzero(weight == w)),
+                         "successes": int(np.count_nonzero(
+                             success[weight == w]))}
+                for w in np.unique(weight).tolist()},
+            # failed trials that the bound guarantees: with a passing
+            # table, only a fault of the engine can make one
+            "guarantee_failures": int(np.count_nonzero(
+                ~success & (weight <= ctx.bound_t))),
         },
     }
 

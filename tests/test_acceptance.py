@@ -210,3 +210,22 @@ def test_criterion_10_worker_count_cannot_change_the_records(acceptance, tmp_pat
             assert rc == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_criterion_11_no_trial_the_bound_guarantees_fails(acceptance):
+    with acceptance.criterion(11, "no trial with at most bound_t activated qubits fails to recover"):
+        from qeclab.cli import ExperimentConfig, run_experiment
+
+        for kw in (dict(code="shor9", channel="random:2", max_active=2, p=0.2),
+                   dict(code="perfect5", channel="random:2", p=0.2),
+                   dict(code="phase3", channel="decoherence:0", p=0.2,
+                        pattern_filter="phase-only")):
+            config = ExperimentConfig(trials=2000, seed=1111, **kw)
+            res = run_experiment(config)[1]["results"]
+            assert res["guarantee_failures"] == 0
+            by_weight = res["by_activated_weight"]
+            assert sum(w["trials"] for w in by_weight.values()) == 2000
+            assert (sum(w["successes"] for w in by_weight.values())
+                    == res["success_count"])
+            # the guarantee was put to the test on corrupted blocks
+            assert by_weight["1"]["trials"] > 100

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qeclab
-from qeclab import cli, experiment
+from qeclab import cli, codes, experiment
 from qeclab.codes import CATALOGUE_EXPECTATIONS
 from qeclab.cli import main
 from qeclab.experiment import analytic_success_bound
@@ -902,6 +902,11 @@ def test_a_write_to_stderr_that_fails_keeps_the_exit_code(argv, code):
         assert proc.stdout.startswith(experiment.CSV_HEADER + "\n")
 
 
+def _context(**kwargs):
+    return experiment._ExperimentContext(experiment.ExperimentConfig(
+        p=0.2, trials=5, **kwargs))
+
+
 def test_consecutive_calls_share_no_state(tmp_path):
     # the parser is built once per process; no call's options may leak into
     # the next
@@ -918,6 +923,51 @@ def test_consecutive_calls_share_no_state(tmp_path):
     rc, out, _ = run(verify)
     assert rc == 0 and out == path.read_text()
     assert cli.build_parser() is cli.build_parser()
+    # a catalogue code's syndrome table and overlaps are cached within the
+    # process, per weight t and filter: another t or filter gets its own
+    t0 = _context(code="perfect5", t=0).table
+    t1 = _context(code="perfect5").table
+    assert (len(t0), len(t1)) == (1, 16)
+    assert _context(code="perfect5", t=0).table is t0
+    phase = ["simulate", "--code", "phase3", "--p", "0.2", "--trials", "5"]
+    rc, _, _ = run(phase + ["--filter", "phase-only"])
+    assert rc == 0
+    rc, _, err = run(phase + ["--filter", "all"])  # fails the general check
+    assert rc == 1 and "ConditionReport(general, t=1: FAIL" in err
+    only = _context(code="phase3", pattern_filter="phase-only")
+    assert len(only.table) == 4 and only.table.keys.tolist() == [
+        0, 8, 16, 32]
+    # a code file is read again by every call, never served from a cache
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(shipped_code_data("phase3")))
+    code_file = ["simulate", "--code", str(path), "--filter", "phase-only",
+                 "--p", "0.2", "--trials", "5"]
+    assert run(code_file)[0] == 0
+    path.write_text(json.dumps(repetition_code_data(3)))
+    rc, _, err = run(code_file)  # the repetition code corrects no phase
+    assert rc == 1 and "ConditionReport(phase, t=1: FAIL" in err
+    # what the caches hold cannot be written to
+    ctx = _context(code="shor9", channel="random:2", max_active=2)
+    ctx.run_range(0, 5)
+    assert ctx.overlaps.weight >= 0
+    for array in (ctx.code.matrix(), ctx.table.keys, ctx.table.rows,
+                  ctx.table.conj_rows, ctx.table.halves, ctx.overlaps.keys,
+                  ctx.overlaps.columns):
+        assert not array.flags.writeable
+    # a run with cold caches writes the bytes of one with warm caches
+    mc = ["simulate", "--code", "shor9", "--channel", "random:2",
+          "--max-active", "2", "--p", "0.2", "--trials", "80", "--seed", "3",
+          "--summary", os.devnull]
+    outputs = []
+    for cold in (True, False):
+        if cold:
+            codes._load_builtin.cache_clear()
+            experiment._shared_table.cache_clear()
+            experiment._shared_overlaps.cache_clear()
+        rc, out, _ = run(mc)
+        assert rc == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_refuses_one_file_for_records_and_summary(tmp_path):
@@ -945,26 +995,37 @@ _SHOR9_EIGHT = ("--code", "shor9", "--channel", "random:2", "--max-active",
                 "300", "--seed", "-1")
 
 
-@pytest.mark.parametrize("argv, workers, digest", [
+# (whole CSV, CSV without fidelity) digests. The fidelity-free digests were
+# recorded with the dense engine, before syndrome coordinates came from the
+# overlaps; that change moved the last bits of some perfect5 and shor9
+# fidelities (by at most 1.1e-15) and nothing else, so only the whole-CSV
+# digests of those runs were recorded again.
+@pytest.mark.parametrize("argv, workers, digest, records_digest", [
     (_PERFECT5 + ("--strategy", "exhaustive"), workers,
-     "0ea2c75da18a5a7aa67b5eec4b65934b9d869e7e1d6bcd71b8612150580ad003")
+     "9c202b1b3bf8b6eef3eabc861f76ecb8df749e78941d8596d78056feb4077288",
+     "71fb7c6281b0b02511a3a7959e453abc0a1488444e317657c84a8db28e3acb48")
     for workers in (1, 2)] + [
     (_PERFECT5 + ("--strategy", "hierarchical"), workers,
-     "7c26df40444197a6edea0fb0e4f77bc50da59b5f87235b3ed17a80a2338fe05f")
+     "e8d63fd4a3c1415ad645ac82f673f7a4f212795479cd149d4f85474722f0be79",
+     "8823eb30011047e497dd09826bf095d3d09cfec7fdf09ad2d90ce2d604de94fd")
     for workers in (1, 2)] + [
     (_PHASE3, workers,
-     "769ae305df7bf8c687b9bcc547f525578b79bc128b7ff0140ba622df99eb4edc")
+     "769ae305df7bf8c687b9bcc547f525578b79bc128b7ff0140ba622df99eb4edc",
+     "b6df6a04bf4b8adc4450db0b29570d6a29c2d5aa9b095c69d88db8b05c137796")
     for workers in (1, 3)] + [
     (_SHOR9_EIGHT, 1,
-     "a1e099f499a40cc6097b54196b37307c56af1e036f017db0bc0a72f35457eee1"),
+     "d36bbe14608108a5c2eb761815d4773668d8fe452c34da3603aae88ecd69e57f",
+     "ee565e28e18ed3620c1629af46cbab4a977b100c8d3f9f64a0cae50a214330bd"),
 ])
-def test_simulate_csv_is_pinned(tmp_path, argv, workers, digest):
+def test_simulate_csv_is_pinned(tmp_path, argv, workers, digest,
+                                records_digest):
     # the whole CSV, fidelity included, of fixed-seed runs: a change to how
     # trials draw or compute must reproduce every byte
     out = tmp_path / "records.csv"
     rc, _, _ = run(["simulate", *argv, "--workers", str(workers),
                     "--out", str(out), "--summary", os.devnull])
     assert rc == 0
+    assert _digest_without_fidelity(out.read_text()) == records_digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -223,14 +223,16 @@ def check_outcomes(table, states, references, index):
     M = np.stack([state.matrix() for state in states])
     refs = np.stack([ref.amps.ravel() for ref in references])
     coeff, p, _ = stack_coordinates(table, M)
-    fidelity, top = verify_outcomes(table, index, refs, M, coeff, p)
+    outside = index == len(table)
+    fidelity, top = verify_outcomes(table, index, refs, coeff, p, M[outside])
     for j, (state, ref) in enumerate(zip(states, references)):
         expected = oracle_outcome(table, P, state, index[j])
         assert abs(fidelity[j] - fidelity_against(expected, ref)) <= 1e-12
         assert abs(top[j] - schmidt_diagnostics(expected)[0]) <= 1e-12
         # a row verified alone gives the same bytes as within the stack
         alone = verify_outcomes(table, index[j:j + 1], refs[j:j + 1],
-                                M[j:j + 1], coeff[j:j + 1], p[j:j + 1])
+                                coeff[j:j + 1], p[j:j + 1],
+                                M[j:j + 1][outside[j:j + 1]])
         for got, single in zip((fidelity, top), alone):
             assert got[j].tobytes() == single[0].tobytes()
 

@@ -33,6 +33,9 @@ def run(argv):
 def test_forked_workers_reuse_the_parents_context(monkeypatch):
     config = ExperimentConfig(trials=40, **SHOR9)
     expected, _ = run_experiment(config)
+    # a catalogue code's table is shared within the process: drop it, so
+    # that this run builds its own
+    experiment._shared_table.cache_clear()
     built = []
     real = experiment.build_syndrome_table
 
@@ -93,6 +96,20 @@ def test_summary_explains_the_run(tmp_path):
     lo, hi = res["success_rate_wilson95"]
     assert [lo, hi] == wilson_interval(res["success_count"], 120)
     assert 0.0 < lo < res["success_rate"] < hi < 1.0
+    # trials and successes by activated weight, weight 2 past the guarantee
+    rows = [line.split(",")
+            for line in records_path.read_text().splitlines()[1:]]
+    weights = [len(r[1].split("+")) if r[1] else 0 for r in rows]
+    successes = collections.Counter(
+        w for w, r in zip(weights, rows)
+        if float(r[3]) >= experiment.SUCCESS_FIDELITY and r[4] == "true")
+    assert res["by_activated_weight"] == {
+        str(w): {"trials": count, "successes": successes[w]}
+        for w, count in sorted(collections.Counter(weights).items())}
+    assert res["guarantee_failures"] == sum(
+        count - successes[w]
+        for w, count in collections.Counter(weights).items() if w <= 1) == 0
+    assert successes[2] < res["by_activated_weight"]["2"]["trials"]
 
 
 def test_summary_margin_is_null_when_the_bound_is_certain():

@@ -8,6 +8,8 @@ each decode on the recovered joint state, with fidelity_against and
 schmidt_diagnostics, and shares no verification code with the engine.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,7 +19,7 @@ from qeclab import (PureState, apply_channel, build_syndrome_table, correct,
                     encode, load_code, make_decoherence, random_channel,
                     trial_generator)
 from qeclab import experiment
-from qeclab.decoder import sample_walk, sample_walks
+from qeclab.decoder import sample_walk, sample_walks, stack_coordinates
 from qeclab.experiment import (CERTAIN_DEVIATE, ExperimentConfig,
                                _ExperimentContext, records_to_csv,
                                run_experiment)
@@ -169,8 +171,8 @@ def live_draw(ctx, trial):
 
 
 def live_walks(ctx, start, stop):
-    """(index, measurements, forced, redraws) of trials [start, stop), each
-    walked alone by sample_walk on its own stream."""
+    """(index, measurements, forced, redraws, activated qubits) of trials
+    [start, stop), each walked alone by sample_walk on its own stream."""
     out = []
     for trial in range(start, stop):
         rng, activated, normals, redraws = live_draw(ctx, trial)
@@ -180,8 +182,8 @@ def live_walks(ctx, start, stop):
         i, trace, forced = sample_walk(ctx.table, p[0], p_none[0], rng,
                                        ctx.dyadic)
         out.append((len(ctx.table) if i is None else i, len(trace), forced,
-                    redraws))
-    return np.array(out, dtype=np.intp).reshape(-1, 4).T
+                    redraws, len(activated)))
+    return np.array(out, dtype=np.intp).reshape(-1, 5).T
 
 
 @SETTINGS
@@ -296,3 +298,61 @@ def test_apply_channel_is_an_isometry(n, seed, data):
         assert abs(a.norm() - 1.0) <= 1e-12
         assert abs(b.norm() - 1.0) <= 1e-12
         assert abs(np.vdot(a.amps, b.amps) - before) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def channel_file(tmp_path_factory):
+    """A fixed channel with three environment levels, neither decoherence
+    nor any filter's, as a channel file."""
+    ch = random_channel(3, np.random.default_rng(5))
+    path = tmp_path_factory.mktemp("channels") / "fixed.json"
+    path.write_text(json.dumps(dict(env_dim=3, **{
+        name: [[z.real, z.imag] for z in getattr(ch, name)]
+        for name in ("a00", "a01", "a10", "a11")})))
+    return str(path)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FILTERS)), st.data())
+def test_overlap_coordinates_match_the_dense_projection(channel_file, code,
+                                                        data):
+    # every weight the context takes through the overlaps, on random
+    # eligible qubits, against the projection of the dense joint states
+    n = load_code(code).n
+    qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                min_size=1, max_size=n))
+    channel = data.draw(st.sampled_from(
+        ["random:1", "random:2", "random:3", "decoherence:0.3",
+         "decoherence:0", channel_file]))
+    env_dim = 2 if channel.startswith("decoherence") else (
+        3 if channel == channel_file else int(channel[7:]))
+    rule = (n - 1 - (env_dim == 1)) // 2
+    ctx = _ExperimentContext(ExperimentConfig(
+        code=code, p=0.2, channel=channel, qubits=sorted(qubits),
+        pattern_filter=FILTERS[code], max_active=min(rule, len(qubits))))
+    assert ctx.overlap_weight == rule
+    for m in range(min(rule, len(qubits)) + 1):
+        g = data.draw(st.integers(1, 4))
+        rows = np.array([sorted(data.draw(st.permutations(qubits))[:m])
+                         for _ in range(g)], dtype=np.intp).reshape(g, m)
+        normals = np.random.default_rng(data.draw(st.integers(0, 99))) \
+            .standard_normal((g, ctx.channel_normals * m
+                              + ctx.logical_normals))
+        refs, blocks, *got = ctx.propagate(rows, normals)
+        want = stack_coordinates(ctx.table, ctx.entangle(refs, rows, blocks))
+        for a, b in zip(got, want):  # coeff, p and p_none
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+
+def test_an_uncapped_shor9_run_keeps_its_overlaps_within_the_rule():
+    # random:1 leaves every weight under the dimension cap; the heavier
+    # classes project dense joint states instead of growing the overlaps
+    experiment._shared_overlaps.cache_clear()
+    ctx = _ExperimentContext(ExperimentConfig(
+        code="shor9", channel="random:1", p=0.5, trials=300, seed=4))
+    _, walks = ctx.run_range(0, 300)
+    assert walks[3].max() > ctx.overlap_weight == 3
+    keys = ctx.overlaps.keys
+    assert ctx.overlaps.weight == 3
+    assert np.bitwise_count((keys | keys >> 9) & 511).max() == 3
